@@ -1,16 +1,21 @@
-"""Small GF(p) helpers for the probabilistic pre-screens.
+"""GF(p) helpers for the modular smoothness screen.
 
 Univariate polynomials are int lists, low degree first, coefficients
-reduced mod p.  Screens never decide anything user-facing on their
-own; exact confirmation over Q always follows.
+reduced mod p.  The screen's resultants come from the exact
+``forms.resultant_eliminate`` run on forms reduced by ``frac_mod``;
+only the gcd and the root division run here.  Screens never decide
+anything user-facing on their own; exact confirmation over Q always
+follows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-#: Three fixed 30-bit primes used by the screens.
-SCREEN_PRIMES = (1073741789, 1073741783, 1073741741)
+from ._poly import ptrim
+
+#: The two fixed 30-bit primes used by the screen.
+SCREEN_PRIMES = (1073741789, 1073741783)
 
 
 def frac_mod(x: Fraction, p: int) -> int | None:
@@ -21,28 +26,10 @@ def frac_mod(x: Fraction, p: int) -> int | None:
     return x.numerator % p * pow(den, -1, p) % p
 
 
-def ptrim_mod(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def pmul_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return ptrim_mod(out)
-
-
 def gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd in GF(p)[u] by the Euclidean algorithm."""
-    a = ptrim_mod([x % p for x in a])
-    b = ptrim_mod([x % p for x in b])
+    a = ptrim([x % p for x in a])
+    b = ptrim([x % p for x in b])
     while b:
         # a mod b
         r = list(a)
@@ -53,60 +40,17 @@ def gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
             c = r[i] * inv % p
             for j, bj in enumerate(b):
                 r[i - len(b) + 1 + j] = (r[i - len(b) + 1 + j] - c * bj) % p
-        a, b = b, ptrim_mod(r)
+        a, b = b, ptrim(r)
     if a:
         inv = pow(a[-1], -1, p)
         a = [x * inv % p for x in a]
     return a
 
 
-def det_mod(rows: list[list[int]], p: int) -> int:
-    """Determinant over GF(p) by Gaussian elimination."""
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] % p), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det % p
-        det = det * a[k][k] % p
-        inv = pow(a[k][k], -1, p)
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            f = a[i][k] * inv % p
-            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return det % p
-
-
-def interpolate_mod(points: list[tuple[int, int]], p: int) -> list[int]:
-    """Lagrange interpolation over GF(p); x-values must be distinct."""
-    result: list[int] = []
-    for i, (xi, yi) in enumerate(points):
-        term = [1]
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = pmul_mod(term, [-xj % p, 1], p)
-            denom = denom * (xi - xj) % p
-        c = yi * pow(denom, -1, p) % p
-        scaled = [x * c % p for x in term]
-        n = max(len(result), len(scaled))
-        result = [
-            ((result[k] if k < len(result) else 0) + (scaled[k] if k < len(scaled) else 0)) % p
-            for k in range(n)
-        ]
-    return ptrim_mod(result)
-
-
 def divide_out_root_mod(poly: list[int], root: int, p: int) -> tuple[list[int], int]:
     """Synthetic division by (u - root) to exhaustion; returns (quotient, count)."""
     count = 0
-    a = ptrim_mod([x % p for x in poly])
+    a = ptrim([x % p for x in poly])
     while a:
         # evaluate at root
         acc = 0
@@ -119,6 +63,6 @@ def divide_out_root_mod(poly: list[int], root: int, p: int) -> tuple[list[int], 
         for i in range(len(a) - 1, 0, -1):
             carry = (a[i] + carry * root) % p
             out[i - 1] = carry
-        a = ptrim_mod(out)
+        a = ptrim(out)
         count += 1
     return a, count

@@ -20,12 +20,6 @@ def ptrim(p: list) -> list:
     return p
 
 
-def padd(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    return ptrim(out)
-
-
 def psub(a: list, b: list) -> list:
     n = max(len(a), len(b))
     out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
@@ -170,17 +164,3 @@ def pdet_bareiss(mat: list[list[list[int]]]) -> list[int]:
     out = a[n - 1][n - 1]
     return pscale(out, sign) if sign < 0 else out
 
-
-def interpolate(points: list[tuple[Fraction, Fraction]]) -> list[Fraction]:
-    """Lagrange interpolation through (x, y) pairs with distinct x."""
-    result: list = []
-    for i, (xi, yi) in enumerate(points):
-        term = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = pmul(term, [-xj, Fraction(1)])
-            denom *= xi - xj
-        result = padd(result, pscale(term, yi / denom))
-    return result

@@ -51,11 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", help="path to a configuration JSON file")
     common.add_argument("--seed", type=int, default=0, help="seed for all sampling")
     common.add_argument("--trials", type=int, default=20, help="number of sampled trials")
-    common.add_argument(
-        "--no-prime-screen",
-        action="store_true",
-        help="skip the modular pre-screen (exact checks still run)",
-    )
     common.add_argument("--output", help="write the JSON report to this path")
     common.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -255,15 +250,20 @@ def _cmd_lattice(args: argparse.Namespace) -> Report:
 
 def _cmd_torsion(args: argparse.Namespace) -> Report:
     config = _load_config(args.input)
-    screen = not args.no_prime_screen
-    inputs: dict = {"config": config.to_json(), "prime_screen": screen}
+    inputs: dict = {"config": config.to_json()}
     if args.form:
         form = _load_form(args.form)
+        if form.is_zero:
+            raise InputError(f"invalid form in {args.form}: the zero form is not a sextic")
+        if form.degree != 6:
+            raise InputError(
+                f"invalid form in {args.form}: expected degree 6, got degree {form.degree}"
+            )
         inputs["form"] = form.to_json()
-        cert = certify(config, form, screen=screen)
+        cert = certify(config, form)
         description = "the supplied sextic certifies nontrivial three-torsion"
     else:
-        cert = certify_pencil(config, screen=screen)
+        cert = certify_pencil(config)
         description = "some member of the conic-product pencil certifies nontrivial three-torsion"
     details = cert.to_json()
     details["note"] = MODULI_NOTE
@@ -304,7 +304,7 @@ def _cmd_action_table(args: argparse.Namespace) -> Report:
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> Report:
-    return verify_report(args.seed, args.trials, screen=not args.no_prime_screen)
+    return verify_report(args.seed, args.trials)
 
 
 _HANDLERS = {

@@ -73,9 +73,6 @@ class Config6:
         self.reps = rows
         self.points = pts
 
-    def rep_matrix(self) -> Matrix:
-        return Matrix(self.reps)
-
     def apply(self, g: Matrix) -> "Config6":
         """Transform every representative by the invertible matrix g, exactly."""
         return Config6(tuple(g.apply(row) for row in self.reps))
@@ -88,9 +85,6 @@ class Config6:
     def relabel(self, sigma: Perm) -> "Config6":
         """Row i of the result is row sigma(i) of self (same representatives)."""
         return Config6(tuple(self.reps[sigma(i)] for i in range(6)))
-
-    def canonicalized(self) -> "Config6":
-        return Config6(tuple(p.coords for p in self.points))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Config6) and self.reps == other.reps

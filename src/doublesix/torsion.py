@@ -23,14 +23,14 @@ nontrivial torsion classes, inverse to one another.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
 
 from . import _modp
 from ._poly import pdiv_exact, peval, pgcd, ptrim
-from .association import DoubleSixRealization, exceptional_conics
+from .association import exceptional_conics
 from .forms import DegenerateEliminationError, TernaryForm, resultant_eliminate
 from .linalg import Matrix, Rational, determinant, inverse, kernel_basis, rat
 from .plane import (
@@ -311,11 +311,7 @@ def _conic_restriction(form: TernaryForm, chart: ConicChart) -> tuple[Fraction, 
     return (q[0], q[1], q[2])
 
 
-def torsion_rank(
-    sextic: NodalSextic,
-    side: str,
-    realization: DoubleSixRealization | None = None,
-) -> TorsionRank:
+def torsion_rank(sextic: NodalSextic, side: str) -> TorsionRank:
     """Dimension of the space of nodal sextics matching ``sextic`` locally.
 
     Side ``"E"`` matches tangent cones at the six nodes; side ``"F"``
@@ -331,9 +327,7 @@ def torsion_rank(
             vectors = [chart_quadratic_part(g, p) for g in system.basis]
             rows.extend(_proportionality_rows(vectors, sextic.cones[i]))
     else:
-        conics = (
-            realization.conics if realization is not None else exceptional_conics(sextic.config)
-        )
+        conics = exceptional_conics(sextic.config)
         for i in range(6):
             chart = conic_chart(sextic.config, conics[i], i)
             vectors = [_conic_restriction(g, chart) for g in system.basis]
@@ -368,10 +362,14 @@ class SmoothnessVerdict:
         return f"{status} ({self.detail})"
 
 
-def _coordinate_changes(attempts: int) -> list[Matrix]:
+#: Coordinate frames tried by ``smooth_elsewhere`` and ``smooth_screen``.
+FRAMES = 4
+
+
+def _coordinate_changes() -> list[Matrix]:
     mats = [Matrix.identity(3)]
     attempt = 1
-    while len(mats) < attempts:
+    while len(mats) < FRAMES:
         rng = random.Random(f"doublesix-smooth:{attempt}")
         entries = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
         m = Matrix(entries)
@@ -414,7 +412,7 @@ def _divide_out_root(poly: list, root: Fraction) -> tuple[list, int]:
     return current, count
 
 
-def _trailing_v_split(coeffs: list[Fraction]) -> tuple[list[Fraction], int]:
+def _trailing_v_split(coeffs: list) -> tuple[list, int]:
     """Split a binary form into (dehomogenized u-poly, power of v)."""
     trimmed = ptrim(list(coeffs))
     return trimmed, len(coeffs) - len(trimmed)
@@ -452,14 +450,14 @@ def _node_factor_audit(
     return True, tuple(orders), "common factor fully explained by the nodes"
 
 
-def _admissible_frames(form: TernaryForm, node_coords: list, attempts: int):
+def _admissible_frames(form: TernaryForm, node_coords: list):
     """Coordinate frames in which the vertical projection is usable.
 
     Yields (moved form, moved nodes) for each catalog transform under
     which the projection vertex avoids the curve, the eliminations stay
     proper, and the nodes project to distinct points.
     """
-    for transform in _coordinate_changes(attempts):
+    for transform in _coordinate_changes():
         moved = form.substitute(transform)
         if (
             moved.coefficient((6, 0, 0)) == 0
@@ -485,11 +483,7 @@ def _admissible_frames(form: TernaryForm, node_coords: list, attempts: int):
         yield (moved, moved_nodes), ""
 
 
-def smooth_elsewhere(
-    form: TernaryForm,
-    nodes: Sequence,
-    attempts: int = 4,
-) -> SmoothnessVerdict:
+def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
     """Certify that ``form`` is singular only at the given node points.
 
     Projects the singular locus away from a coordinate vertex by
@@ -504,7 +498,7 @@ def smooth_elsewhere(
     node_coords = [getattr(p, "coords", p) for p in nodes]
     last_detail = "no admissible coordinate system found"
     used = 0
-    for frame, why in _admissible_frames(form, node_coords, attempts):
+    for frame, why in _admissible_frames(form, node_coords):
         used += 1
         if frame is None:
             last_detail = why
@@ -555,66 +549,44 @@ def smooth_elsewhere(
 # GF(p) screen for the smoothness check
 
 
-def _modp_x_poly(form: TernaryForm, t: int, p: int) -> list[int] | None:
-    """form(x, t, 1) mod p as an x-coefficient list, or None on bad reduction."""
-    out = [0] * (form.degree + 1)
-    tpow = [1] * (form.degree + 1)
-    for j in range(1, form.degree + 1):
-        tpow[j] = tpow[j - 1] * t % p
-    for (i, j, k), c in form.terms():
-        cm = _modp.frac_mod(Fraction(c), p)
-        if cm is None:
-            return None
-        out[i] = (out[i] + cm * tpow[j]) % p
-    return out
-
-
 def _modp_resultant_x(f: TernaryForm, g: TernaryForm, p: int) -> list[int] | None:
-    """Res_x(f, g) mod p as a binary coefficient list, by evaluation."""
-    m = f.degree
-    n = g.degree
-    bound = m * n
-    samples = []
-    for t in range(bound + 1):
-        fu = _modp_x_poly(f, t, p)
-        gu = _modp_x_poly(g, t, p)
-        if fu is None or gu is None:
-            return None
-        if fu[m] == 0 or gu[n] == 0:
-            return None  # leading coefficient degenerates mod p
-        size = m + n
-        rows = []
-        for shift in range(n):
-            row = [0] * size
-            for k in range(m + 1):
-                row[shift + (m - k)] = fu[k]
-            rows.append(row)
-        for shift in range(m):
-            row = [0] * size
-            for k in range(n + 1):
-                row[shift + (n - k)] = gu[k]
-            rows.append(row)
-        samples.append((t, _modp.det_mod(rows, p)))
-    poly = _modp.interpolate_mod(samples, p)
-    return poly + [0] * (bound + 1 - len(poly))
+    """Res_x(f, g) mod p as a binary coefficient list, or None on bad reduction.
+
+    The resultant commutes with reduction mod p while both leading
+    x-coefficients survive, so the exact routine runs on the forms with
+    their coefficients reduced into [0, p).  A denominator divisible by
+    p, or a leading x-coefficient divisible by p, gives None.
+    """
+    reduced = []
+    for form in (f, g):
+        coeffs = {}
+        for mono, c in form.terms():
+            cm = _modp.frac_mod(c, p)
+            if cm is None:
+                return None
+            coeffs[mono] = cm
+        reduced.append(TernaryForm(form.degree, coeffs))
+    try:
+        res = resultant_eliminate(*reduced, 0)
+    except ValueError:  # degenerate elimination, or a form that vanishes mod p
+        return None
+    return [c.numerator % p for c in _binary_coefficients(res)]
 
 
-def _screen_frame(moved: TernaryForm, moved_nodes: list, primes: Sequence[int]) -> bool | None:
-    """Node audit mod every prime for one coordinate frame."""
+def _screen_frame(moved: TernaryForm, moved_nodes: list) -> bool | None:
+    """Node audit mod every screen prime for one coordinate frame."""
     fx = moved.partial(0)
     fy = moved.partial(1)
     fz = moved.partial(2)
-    for p in primes:
+    for p in _modp.SCREEN_PRIMES:
         elim_y = _modp_resultant_x(fx, fy, p)
         elim_z = _modp_resultant_x(fx, fz, p)
         if elim_y is None or elim_z is None:
             return None
-        a_poly = _modp.ptrim_mod(list(elim_y))
-        b_poly = _modp.ptrim_mod(list(elim_z))
+        a_poly, a_v = _trailing_v_split(elim_y)
+        b_poly, b_v = _trailing_v_split(elim_z)
         if not a_poly or not b_poly:
             return False
-        a_v = len(elim_y) - len(a_poly)
-        b_v = len(elim_z) - len(b_poly)
         common = _modp.gcd_mod(a_poly, b_poly, p)
         v_power = min(a_v, b_v)
         ok = True
@@ -641,12 +613,7 @@ def _screen_frame(moved: TernaryForm, moved_nodes: list, primes: Sequence[int]) 
     return True
 
 
-def smooth_screen(
-    form: TernaryForm,
-    nodes: Sequence,
-    primes: Sequence[int] = _modp.SCREEN_PRIMES[:2],
-    attempts: int = 4,
-) -> bool | None:
+def smooth_screen(form: TernaryForm, nodes: Sequence) -> bool | None:
     """Fast mod-p screen for ``smooth_elsewhere``.
 
     Returns True when some coordinate frame passes the node audit mod
@@ -658,10 +625,10 @@ def smooth_screen(
         raise ValueError("smoothness screens target degree-six forms")
     node_coords = [getattr(p, "coords", p) for p in nodes]
     alarms = 0
-    for frame, _ in _admissible_frames(form, node_coords, attempts):
+    for frame, _ in _admissible_frames(form, node_coords):
         if frame is None:
             continue
-        verdict = _screen_frame(*frame, primes)
+        verdict = _screen_frame(*frame)
         if verdict is True:
             return True
         if verdict is False:
@@ -690,16 +657,14 @@ class Pencil:
         return self.first.scale(lam_r) + self.second.scale(mu_r)
 
 
-def conic_product_pencil(
-    config: Config6, realization: DoubleSixRealization | None = None
-) -> Pencil:
+def conic_product_pencil(config: Config6) -> Pencil:
     """Products of the two complementary triples of exceptional conics.
 
     Every member has multiplicity two at all six configuration points, so
     the pencil lives inside the ten-dimensional nodal system; its general
     member is the torsion candidate swept by ``certify_pencil``.
     """
-    conics = realization.conics if realization is not None else exceptional_conics(config)
+    conics = exceptional_conics(config)
     first = (conics[3] * conics[4] * conics[5]).canonical()
     second = (conics[0] * conics[1] * conics[2]).canonical()
     return Pencil(config, first, second)
@@ -743,12 +708,7 @@ class TorsionCertificate:
         return data
 
 
-def certify(
-    config: Config6,
-    form: TernaryForm,
-    screen: bool = True,
-    realization: DoubleSixRealization | None = None,
-) -> TorsionCertificate:
+def certify(config: Config6, form: TernaryForm) -> TorsionCertificate:
     """Full three-torsion certificate for one candidate sextic.
 
     Acceptance requires general position, six ordinary nodes, matching
@@ -765,15 +725,12 @@ def certify(
         return TorsionCertificate(
             config, form, False, (f"node profile failed: {profile.describe()}",)
         )
-    rank_e = torsion_rank(profile, "E", realization)
-    rank_f = torsion_rank(profile, "F", realization)
+    rank_e = torsion_rank(profile, "E")
+    rank_f = torsion_rank(profile, "F")
     reasons = []
-    screened = False
-    if screen:
-        hint = smooth_screen(form, config.points)
-        screened = hint is not None
-        if hint is False:
-            reasons.append("prime screen predicts extra singular points")
+    hint = smooth_screen(form, config.points)
+    if hint is False:
+        reasons.append("prime screen predicts extra singular points")
     smooth = smooth_elsewhere(form, config.points)
     if rank_e.dimension != rank_f.dimension:
         reasons.append(
@@ -799,31 +756,30 @@ def certify(
         rank_e,
         rank_f,
         smooth,
-        screened=screened,
+        screened=hint is not None,
     )
 
 
-def certify_pencil(
-    config: Config6,
-    screen: bool = True,
-    max_members: int = 25,
-    realization: DoubleSixRealization | None = None,
-) -> TorsionCertificate:
+#: Pencil members (1 : k), k = 1 .. PENCIL_MEMBERS, swept by ``certify_pencil``.
+PENCIL_MEMBERS = 25
+
+
+def certify_pencil(config: Config6) -> TorsionCertificate:
     """Sweep the conic-product pencil until a member certifies.
 
     Members (1 : k) for k = 1, 2, ... are screened cheaply and then
     certified exactly; the first accepted member is returned.  A few
     members can fail by coincidence (an extra singular point), so the
-    sweep continues past rejections up to ``max_members``.
+    sweep continues past rejections up to ``PENCIL_MEMBERS``.
     """
     verdict = is_general_position(config)
     if not verdict.ok:
         return TorsionCertificate(
             config, None, False, ("configuration is not in general position",)
         )
-    pencil = conic_product_pencil(config, realization)
+    pencil = conic_product_pencil(config)
     last: TorsionCertificate | None = None
-    for k in range(1, max_members + 1):
+    for k in range(1, PENCIL_MEMBERS + 1):
         candidate = pencil.member(1, k).canonical()
         profile = node_profile(config, candidate)
         if not profile.ok:
@@ -835,7 +791,7 @@ def certify_pencil(
                 member=("1", str(k)),
             )
             continue
-        if screen and smooth_screen(candidate, config.points) is False:
+        if smooth_screen(candidate, config.points) is False:
             last = TorsionCertificate(
                 config,
                 candidate,
@@ -845,18 +801,7 @@ def certify_pencil(
                 screened=True,
             )
             continue
-        cert = certify(config, candidate, screen=screen, realization=realization)
-        cert = TorsionCertificate(
-            cert.config,
-            cert.form,
-            cert.accepted,
-            cert.reasons,
-            cert.rank_node_side,
-            cert.rank_conic_side,
-            cert.smoothness,
-            member=("1", str(k)),
-            screened=cert.screened,
-        )
+        cert = replace(certify(config, candidate), member=("1", str(k)))
         if cert.accepted:
             return cert
         last = cert

@@ -208,13 +208,13 @@ def _check_sign_flip(seed: int, trials: int) -> CheckResult:
     )
 
 
-def _check_torsion(seed: int, trials: int, screen: bool) -> CheckResult:
+def _check_torsion(seed: int, trials: int) -> CheckResult:
     n = min(max(trials // 10, 1), 3)
     configs = [REF6] + [_sample_config(seed, "torsion", t) for t in range(n)]
     results = []
     ok = True
     for c in configs:
-        cert = certify_pencil(c, screen=screen)
+        cert = certify_pencil(c)
         entry = {
             "accepted": cert.accepted,
             "member": list(cert.member) if cert.member else None,
@@ -228,7 +228,7 @@ def _check_torsion(seed: int, trials: int, screen: bool) -> CheckResult:
         f"the pencil of complementary conic-triple products certifies "
         f"nontrivial three-torsion on {len(configs)} configurations",
         ok,
-        {"certificates": results, "prime_screen": screen},
+        {"certificates": results},
     )
 
 
@@ -252,7 +252,7 @@ def _check_moduli_count(_: int, __: int) -> CheckResult:
     )
 
 
-def verify_suite(seed: int, trials: int, screen: bool = True) -> list[CheckResult]:
+def verify_suite(seed: int, trials: int) -> list[CheckResult]:
     """Run every verification check with sampling driven by ``seed``."""
     return [
         _check_dimensions(seed, trials),
@@ -262,15 +262,11 @@ def verify_suite(seed: int, trials: int, screen: bool = True) -> list[CheckResul
         _check_relation(seed, trials),
         _check_action_table(seed, trials),
         _check_sign_flip(seed, trials),
-        _check_torsion(seed, trials, screen),
+        _check_torsion(seed, trials),
         _check_moduli_count(seed, trials),
     ]
 
 
-def verify_report(seed: int, trials: int, screen: bool = True) -> Report:
-    checks = verify_suite(seed, trials, screen)
-    return Report(
-        "verify-paper",
-        {"seed": seed, "trials": trials, "prime_screen": screen},
-        tuple(checks),
-    )
+def verify_report(seed: int, trials: int) -> Report:
+    checks = verify_suite(seed, trials)
+    return Report("verify-paper", {"seed": seed, "trials": trials}, tuple(checks))

@@ -145,6 +145,23 @@ def test_torsion_form_flag_certifies_a_supplied_sextic(tmp_path, capsys):
     assert "member" not in details
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([[2, 0, 0, "1"], [0, 2, 0, "1"]], "expected degree 6, got degree 2"),
+        ([[6, 0, 0, "0"]], "the zero form is not a sextic"),
+    ],
+)
+def test_torsion_form_must_be_a_nonzero_sextic(tmp_path, capsys, records, message):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(records))
+    code, out, err = run(capsys, ["torsion", "--form", str(path), "--json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid form") and message in err
+    assert "Traceback" not in err
+
+
 def test_torsion_form_and_pencil_flags_conflict(capsys):
     with pytest.raises(SystemExit) as info:
         main(["torsion", "--pencil", "--form", "x.json"])

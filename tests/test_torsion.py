@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from doublesix import _modp, torsion
+from doublesix._poly import ptrim
 from doublesix.association import exceptional_conics
 from doublesix.forms import TernaryForm, resultant_eliminate
 from doublesix.linalg import Matrix, determinant, inverse, rank
@@ -19,10 +21,12 @@ from doublesix.plane import (
 from doublesix.torsion import (
     NodalSextic,
     NodeDiagnosis,
+    _admissible_frames,
     _binary_div_exact,
     _binary_mul,
     _compose_binary,
     _conic_restriction,
+    _modp_resultant_x,
     certify,
     certify_pencil,
     conic_chart,
@@ -185,9 +189,9 @@ def test_smooth_elsewhere_certifies_the_torsion_candidate():
     assert all(order >= 1 for order in verdict.node_orders)
 
 
-def test_smooth_elsewhere_rejects_a_reducible_candidate():
-    # A conic times a quartic is nodal at all six points but singular
-    # wherever the two components meet besides them.
+def reducible_candidate():
+    """A conic times a quartic: nodal at all six points of REF6 but
+    singular wherever the two components meet besides them."""
     conic = exceptional_conics(REF6)[5]
     system = linear_system(4, [(REF6.points[5], 2)] + [(p, 1) for p in REF6.points[:5]])
     rng = random.Random("reducible-pick")
@@ -196,7 +200,11 @@ def test_smooth_elsewhere_rejects_a_reducible_candidate():
     for c, member in zip(coeffs, system.basis):
         if c != 0:
             quartic = quartic + member.scale(c)
-    candidate = (conic * quartic).canonical()
+    return (conic * quartic).canonical()
+
+
+def test_smooth_elsewhere_rejects_a_reducible_candidate():
+    candidate = reducible_candidate()
     assert node_profile(REF6, candidate).ok
     verdict = smooth_elsewhere(candidate, REF6.points)
     assert not verdict.certified
@@ -343,3 +351,152 @@ def test_conic_restriction_rejects_a_form_off_the_forced_divisor():
         for form in (definite, simple):
             with pytest.raises(ArithmeticError):
                 _conic_restriction(form, chart)
+
+
+# Reference for ``_modp_resultant_x``, which reduces the forms mod p and
+# runs the exact ``resultant_eliminate``: Res_x evaluated at t = 0 .. mn as
+# a GF(p) Sylvester determinant of f(x, t, 1) and g(x, t, 1), then Lagrange
+# interpolation over GF(p).
+
+
+def reference_det_mod(rows, p):
+    """Determinant over GF(p) by Gaussian elimination."""
+    n = len(rows)
+    a = [row[:] for row in rows]
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] % p), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det % p
+        det = det * a[k][k] % p
+        inv = pow(a[k][k], -1, p)
+        for i in range(k + 1, n):
+            if a[i][k] == 0:
+                continue
+            f = a[i][k] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
+    return det % p
+
+
+def reference_pmul_mod(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return ptrim(out)
+
+
+def reference_interpolate_mod(points, p):
+    """Lagrange interpolation over GF(p); x-values must be distinct."""
+    result = []
+    for i, (xi, yi) in enumerate(points):
+        term = [1]
+        denom = 1
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            term = reference_pmul_mod(term, [-xj % p, 1], p)
+            denom = denom * (xi - xj) % p
+        c = yi * pow(denom, -1, p) % p
+        scaled = [x * c % p for x in term]
+        n = max(len(result), len(scaled))
+        result = [
+            ((result[k] if k < len(result) else 0) + (scaled[k] if k < len(scaled) else 0)) % p
+            for k in range(n)
+        ]
+    return ptrim(result)
+
+
+def reference_x_poly(form, t, p):
+    """form(x, t, 1) mod p as an x-coefficient list, or None on bad reduction."""
+    out = [0] * (form.degree + 1)
+    tpow = [1] * (form.degree + 1)
+    for j in range(1, form.degree + 1):
+        tpow[j] = tpow[j - 1] * t % p
+    for (i, j, k), c in form.terms():
+        cm = _modp.frac_mod(c, p)
+        if cm is None:
+            return None
+        out[i] = (out[i] + cm * tpow[j]) % p
+    return out
+
+
+def reference_resultant_x(f, g, p):
+    """Res_x(f, g) mod p as a binary coefficient list, by evaluation."""
+    m, n = f.degree, g.degree
+    bound = m * n
+    samples = []
+    for t in range(bound + 1):
+        fu = reference_x_poly(f, t, p)
+        gu = reference_x_poly(g, t, p)
+        if fu is None or gu is None:
+            return None
+        if fu[m] == 0 or gu[n] == 0:
+            return None  # leading coefficient degenerates mod p
+        size = m + n
+        rows = []
+        for shift in range(n):
+            row = [0] * size
+            for k in range(m + 1):
+                row[shift + (m - k)] = fu[k]
+            rows.append(row)
+        for shift in range(m):
+            row = [0] * size
+            for k in range(n + 1):
+                row[shift + (n - k)] = gu[k]
+            rows.append(row)
+        samples.append((t, reference_det_mod(rows, p)))
+    poly = reference_interpolate_mod(samples, p)
+    return poly + [0] * (bound + 1 - len(poly))
+
+
+def test_screen_resultant_matches_the_evaluation_reference():
+    rng = random.Random("screen-resultant-differential")
+    configs = [REF6] + [random_general_config(rng) for _ in range(2)]
+    cases = 0
+    for config in configs:
+        forms = [conic_product_pencil(config).member(1, 1), random_nodal_sextic(config, rng)]
+        for form in forms:
+            for frame, _ in _admissible_frames(form, [q.coords for q in config.points]):
+                if frame is None:
+                    continue
+                moved = frame[0]
+                fx, fy, fz = (moved.partial(v) for v in range(3))
+                for p in _modp.SCREEN_PRIMES:
+                    for other in (fy, fz):
+                        got = _modp_resultant_x(fx, other, p)
+                        assert got is not None and len(got) == 26
+                        assert got == reference_resultant_x(fx, other, p)
+                        cases += 1
+    assert cases >= 48
+
+
+def test_screen_resultant_is_none_on_bad_reduction():
+    p = _modp.SCREEN_PRIMES[0]
+    generic = {(6, 0, 0): 1, (5, 1, 0): 2, (5, 0, 1): 3, (3, 2, 1): -1, (0, 6, 0): 5, (0, 0, 6): 7}
+    lead_divisible = TernaryForm(6, {**generic, (6, 0, 0): p})
+    denominator_p = TernaryForm(6, {**generic, (1, 2, 3): Fraction(4, p)})
+    for form in (lead_divisible, denominator_p):
+        fx, fy = form.partial(0), form.partial(1)
+        # Over Q both eliminations are proper; only the reduction mod p fails.
+        assert not resultant_eliminate(fx, fy, 0).is_zero
+        assert reference_resultant_x(fx, fy, p) is None
+        assert _modp_resultant_x(fx, fy, p) is None
+        assert _modp_resultant_x(fx, fy, _modp.SCREEN_PRIMES[1]) is not None
+
+
+def test_smooth_screen_hints_match_the_evaluation_reference(monkeypatch):
+    rng = random.Random("screen-hint-differential")
+    candidates = [(REF6, reducible_candidate())]
+    for config in [REF6] + [random_general_config(rng) for _ in range(2)]:
+        pencil = conic_product_pencil(config)
+        candidates += [(config, pencil.member(1, k).canonical()) for k in (1, 2)]
+    hints = [smooth_screen(form, config.points) for config, form in candidates]
+    monkeypatch.setattr(torsion, "_modp_resultant_x", reference_resultant_x)
+    assert [smooth_screen(form, config.points) for config, form in candidates] == hints
+    assert hints[0] is False and hints.count(True) == len(hints) - 1
