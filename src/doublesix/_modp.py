@@ -1,11 +1,16 @@
-"""GF(p) helpers for the modular smoothness screen.
+"""GF(p) helpers for the smoothness screen and the coprimality proof.
 
 Univariate polynomials are int lists, low degree first, coefficients
 reduced mod p.  The screen's resultants come from the exact
 ``forms.resultant_eliminate`` run on forms reduced by ``frac_mod``;
-only the gcd and the root division run here.  Screens never decide
-anything user-facing on their own; exact confirmation over Q always
-follows.
+only the gcd and the root division run here.  The screen's hints never
+decide anything user-facing on their own; exact confirmation over Q
+always follows.
+
+``gcd_mod`` also supplies half of a proof in ``torsion.smooth_elsewhere``:
+for integer polynomials a and b whose leading coefficients p divides
+neither, a gcd of degree 0 in GF(p)[u] proves gcd(a, b) = 1 over Q.  Any
+other answer there leaves the decision to the exact gcd.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ of u^i v^(d-i), and the degree is carried by the caller.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def ptrim(p: list) -> list:
@@ -88,7 +88,15 @@ def pcontent(p: list[int]) -> int:
     return g
 
 
-def pprimitive(p: list[int]) -> list[int]:
+def pprimitive(p: list) -> list[int]:
+    """Primitive integer multiple with positive leading coefficient.
+
+    Accepts int or Fraction coefficients; the denominators are cleared
+    first.  The input must carry no trailing zeros.
+    """
+    if any(isinstance(c, Fraction) for c in p):
+        m = lcm(*(Fraction(c).denominator for c in p))
+        p = [int(c * m) for c in p]
     g = pcontent(p)
     if g == 0:
         return []
@@ -104,8 +112,8 @@ def pgcd(a: list, b: list) -> list:
     integer polynomial with positive leading coefficient (or [] for
     gcd(0,0)).
     """
-    a = _to_int_primitive(a)
-    b = _to_int_primitive(b)
+    a = pprimitive(ptrim(list(a)))
+    b = pprimitive(ptrim(list(b)))
     if not a:
         return b
     if not b:
@@ -126,18 +134,6 @@ def pgcd(a: list, b: list) -> list:
                 r[i - len(b) + 1 + j] -= c * bj
         a, b = b, pprimitive(ptrim(r))
     return pprimitive(a)
-
-
-def _to_int_primitive(p: list) -> list[int]:
-    p = ptrim(list(p))
-    if not p:
-        return []
-    if any(isinstance(c, Fraction) for c in p):
-        from math import lcm
-
-        m = lcm(*(Fraction(c).denominator for c in p))
-        p = [int(Fraction(c) * m) for c in p]
-    return pprimitive(p)
 
 
 def pdet_bareiss(mat: list[list[list[int]]]) -> list[int]:

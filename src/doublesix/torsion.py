@@ -29,7 +29,7 @@ from math import lcm
 from typing import Sequence, Union
 
 from . import _modp
-from ._poly import pdiv_exact, peval, pgcd, ptrim
+from ._poly import pdiv_exact, pgcd, pprimitive, ptrim
 from .association import exceptional_conics
 from .forms import DegenerateEliminationError, TernaryForm, resultant_eliminate
 from .linalg import Matrix, Rational, determinant, inverse, kernel_basis, rat
@@ -356,6 +356,7 @@ class SmoothnessVerdict:
     attempts: int
     detail: str
     node_orders: tuple[int, ...] | None = None  # gcd multiplicity per node
+    route: str | None = None  # eliminant coprimality proof: "mod p" or "exact"
 
     def describe(self) -> str:
         status = "smooth away from the nodes" if self.certified else "not certified"
@@ -397,19 +398,22 @@ def _restrict_line(form: TernaryForm, y: Fraction, z: Fraction) -> list[Fraction
     return ptrim(out)
 
 
-def _divide_out_root(poly: list, root: Fraction) -> tuple[list, int]:
-    """Divide an integer u-polynomial by (u - root) to exhaustion."""
+def _divide_out_root(poly: list[int], root: Fraction) -> tuple[list[int], int]:
+    """Divide an integer u-polynomial by den*u - num, root = num/den, to exhaustion.
+
+    The linear is primitive, so by Gauss's lemma each quotient that
+    exists over Q is integral and ``pdiv_exact`` finds it over Z.
+    Returns (quotient, count).
+    """
+    linear = [-root.numerator, root.denominator]
     count = 0
-    current = [Fraction(c) for c in poly]
-    while current and peval(current, root) == 0:
-        quotient = [_ZERO] * (len(current) - 1)
-        carry = _ZERO
-        for i in range(len(current) - 1, 0, -1):
-            carry = current[i] + carry * root
-            quotient[i - 1] = carry
-        current = ptrim(quotient)
+    while poly:
+        try:
+            poly = pdiv_exact(poly, linear)
+        except ArithmeticError:
+            break
         count += 1
-    return current, count
+    return poly, count
 
 
 def _trailing_v_split(coeffs: list) -> tuple[list, int]:
@@ -419,35 +423,45 @@ def _trailing_v_split(coeffs: list) -> tuple[list, int]:
 
 
 def _node_factor_audit(
-    gcd_poly: list,
+    a_poly: list[int],
+    b_poly: list[int],
     v_power: int,
     projections: list[tuple[Fraction, Fraction]],
-) -> tuple[bool, tuple[int, ...], str]:
-    """Divide node-projection linears out of a common factor.
+) -> tuple[tuple[int, ...] | None, str | None, str]:
+    """Divide node-projection linears out of both eliminants, then audit the rest.
 
-    Returns (ok, per-node orders, detail).  The factor is explained by the
-    nodes exactly when every node absorbs at least one linear and nothing
-    of positive degree remains.
+    Returns (per-node orders, route, detail); the orders are None when the
+    common factor is not explained by the nodes, and ``detail`` says why.
+    A node's order is the smaller of its two counts, which is its
+    multiplicity in gcd(a, b).  Each finite node must divide both
+    eliminants, only a node at z = 0 may absorb the common power of v, and
+    the cofactors must be coprime; ``route`` names how that was proved,
+    "mod p" or "exact".
     """
-    current = [Fraction(c) for c in gcd_poly]
     orders = []
     for y, z in projections:
         if z == 0:
             if v_power < 1:
-                return False, (), "node projection missing from the common factor"
+                return None, None, "node projection missing from the common factor"
             orders.append(v_power)
             v_power = 0
             continue
-        current, count = _divide_out_root(current, y / z)
-        if count < 1:
-            return False, (), "node projection missing from the common factor"
-        orders.append(count)
+        a_poly, count_a = _divide_out_root(a_poly, y / z)
+        b_poly, count_b = _divide_out_root(b_poly, y / z)
+        if min(count_a, count_b) < 1:
+            return None, None, "node projection missing from the common factor"
+        orders.append(min(count_a, count_b))
     if v_power > 0:
-        return False, tuple(orders), "unexplained common root at infinity"
-    if len(ptrim(current)) > 1:
-        degree = len(ptrim(current)) - 1
-        return False, tuple(orders), f"residual common factor of degree {degree}"
-    return True, tuple(orders), "common factor fully explained by the nodes"
+        return None, None, "unexplained common root at infinity"
+    for p in _modp.SCREEN_PRIMES:
+        if a_poly[-1] % p and b_poly[-1] % p:
+            if len(_modp.gcd_mod(a_poly, b_poly, p)) == 1:
+                return tuple(orders), "mod p", ""
+            break
+    degree = len(pgcd(a_poly, b_poly)) - 1
+    if degree > 0:
+        return None, None, f"residual common factor of degree {degree}"
+    return tuple(orders), "exact", ""
 
 
 def _admissible_frames(form: TernaryForm, node_coords: list):
@@ -488,10 +502,21 @@ def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
 
     Projects the singular locus away from a coordinate vertex by
     eliminating the first variable from two partial-derivative pairs,
-    takes the gcd of the two eliminants, and insists the gcd consist of
-    node projections only, with a unique singular point on each node's
-    vertical line.  Coordinate changes from a fixed catalog retry any
-    coincidental failure.
+    divides each node projection out of the two eliminants, and insists
+    the cofactors be coprime, with a unique singular point on each
+    node's vertical line.  Coordinate changes from a fixed catalog retry
+    any coincidental failure.
+
+    Coprimality is proved modulo the first prime p of
+    ``_modp.SCREEN_PRIMES`` that divides neither leading coefficient.
+    The cofactors a, b are integer polynomials (Gauss's lemma keeps every
+    exact division by a primitive node linear integral), so their
+    primitive gcd g over Z divides both in Z[u]; lc(g) divides lc(a),
+    hence g mod p keeps its degree and divides gcd(a mod p, b mod p).  A
+    gcd of degree 0 mod p therefore proves gcd(a, b) = 1 over Q (Brown
+    1971, J. ACM 18(4); von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 6).  Otherwise an exact ``pgcd`` decides.  The verdict
+    records which route certified.
     """
     if form.degree != 6:
         raise ValueError("smoothness certification targets degree-six forms")
@@ -520,9 +545,10 @@ def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
             )
         a_poly, a_v = _trailing_v_split(_binary_coefficients(elim_y))
         b_poly, b_v = _trailing_v_split(_binary_coefficients(elim_z))
-        common = pgcd(a_poly, b_poly)
-        ok, orders, detail = _node_factor_audit(common, min(a_v, b_v), projections)
-        if not ok:
+        orders, route, detail = _node_factor_audit(
+            pprimitive(a_poly), pprimitive(b_poly), min(a_v, b_v), projections
+        )
+        if orders is None:
             last_detail = detail
             continue
         # Each node's vertical line may contain no second singular point.
@@ -541,7 +567,7 @@ def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
                 break
         if not line_ok:
             continue
-        return SmoothnessVerdict(True, used, "only the six nodes are singular", orders)
+        return SmoothnessVerdict(True, used, "only the six nodes are singular", orders, route)
     return SmoothnessVerdict(False, used, last_detail)
 
 

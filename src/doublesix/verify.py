@@ -15,7 +15,6 @@ byte-reproducible.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .association import second_model
 from .coble import (
@@ -34,7 +33,6 @@ from .perms import Perm
 from .plane import (
     REF6,
     Config6,
-    is_general_position,
     linear_system,
     projective_equivalence,
     random_general_config,

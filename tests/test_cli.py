@@ -67,6 +67,32 @@ def test_duplicate_points_exit_two(tmp_path, capsys):
     assert "invalid configuration" in err
 
 
+VALID_ROWS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"], ["1", "2", "3"]]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        VALID_ROWS + [[1.5, 2.0, 3.0]],
+        VALID_ROWS + [["a", "2", "3"]],
+        VALID_ROWS + [None],
+        VALID_ROWS + [["1", None, "3"]],
+        VALID_ROWS + [["1/0", "2", "3"]],
+        VALID_ROWS + [["2", "5"]],
+        VALID_ROWS,
+    ],
+    ids=["float-row", "letter", "null-row", "null-entry", "zero-denominator", "two-entries", "five-points"],
+)
+def test_hostile_configurations_exit_two(tmp_path, capsys, points):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps({"points": points}))
+    code, out, err = run(capsys, ["check-position", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid configuration")
+    assert "Traceback" not in err
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, ["coble", "--input", str(tmp_path / "absent.json")])
     assert code == 2

@@ -54,9 +54,14 @@ def test_divide_out_root_mod_is_the_rational_division_reduced_mod_p():
             poly = random_int_poly(rng, rng.randint(0, 4))
             for _ in range(rng.randint(0, 3)):
                 poly = pmul(poly, [-num, den])  # den * u - num vanishes at num / den
-            quotient, count = _divide_out_root(poly, Fraction(num, den))
-            got, got_count = divide_out_root_mod(poly, frac_mod(Fraction(num, den), p), p)
+            root = Fraction(num, den)
+            quotient, count = _divide_out_root(poly, root)
+            assert all(isinstance(c, int) for c in quotient)
+            got, got_count = divide_out_root_mod(poly, frac_mod(root, p), p)
             assert got_count == count
-            assert got == [frac_mod(c, p) for c in quotient]
+            # u - root = (den*u - num) / den in lowest terms, so the mod-p
+            # quotient is den^count times the integer one.
+            scale = pow(root.denominator, count, p)
+            assert got == [c * scale % p for c in quotient]
             counts.add(count)
     assert {0, 1, 2, 3} <= counts

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from doublesix import _modp, torsion
-from doublesix._poly import ptrim
+from doublesix._poly import peval, pgcd, pmul, pprimitive, ptrim
 from doublesix.association import exceptional_conics
 from doublesix.forms import TernaryForm, resultant_eliminate
 from doublesix.linalg import Matrix, determinant, inverse, rank
@@ -22,11 +22,14 @@ from doublesix.torsion import (
     NodalSextic,
     NodeDiagnosis,
     _admissible_frames,
+    _binary_coefficients,
     _binary_div_exact,
     _binary_mul,
     _compose_binary,
     _conic_restriction,
     _modp_resultant_x,
+    _node_factor_audit,
+    _trailing_v_split,
     certify,
     certify_pencil,
     conic_chart,
@@ -210,6 +213,210 @@ def test_smooth_elsewhere_rejects_a_reducible_candidate():
     assert not verdict.certified
     assert "residual" in verdict.detail
     assert smooth_screen(candidate, REF6.points) is False
+
+
+# Reference for the node audit of ``smooth_elsewhere``, which divides the
+# node linears out of both eliminants over Z and proves the cofactors
+# coprime mod p: the exact gcd of the eliminants by ``pgcd``, with the
+# node roots then divided out of it by synthetic division over Q.
+
+
+def reference_divide_out_root(poly, root):
+    count = 0
+    current = [Fraction(c) for c in poly]
+    while current and peval(current, root) == 0:
+        quotient = [Fraction(0)] * (len(current) - 1)
+        carry = Fraction(0)
+        for i in range(len(current) - 1, 0, -1):
+            carry = current[i] + carry * root
+            quotient[i - 1] = carry
+        current = ptrim(quotient)
+        count += 1
+    return current, count
+
+
+def reference_node_factor_audit(a_poly, b_poly, v_power, projections):
+    current = pgcd(a_poly, b_poly)
+    orders = []
+    for y, z in projections:
+        if z == 0:
+            if v_power < 1:
+                return None, None, "node projection missing from the common factor"
+            orders.append(v_power)
+            v_power = 0
+            continue
+        current, count = reference_divide_out_root(current, y / z)
+        if count < 1:
+            return None, None, "node projection missing from the common factor"
+        orders.append(count)
+    if v_power > 0:
+        return None, None, "unexplained common root at infinity"
+    if len(current) > 1:
+        return None, None, f"residual common factor of degree {len(current) - 1}"
+    return tuple(orders), "exact", ""
+
+
+#: General position, and the second coordinate frame of its pencil member
+#: (1 : 1) sends a node to z = 0, so the audit reads that node's order from
+#: the common power of v.
+Z0_CONFIG = Config6([(5, -1, 0), (0, 5, 3), (-5, 2, -2), (5, -5, -3), (-4, 0, 2), (-2, 1, 3)])
+
+
+def smooth_audit_cases():
+    """REF6 (4 frames), pencil members k = 1..3 and a random nodal sextic on
+    three seeded configurations, the z = 0 member and the reducible candidate."""
+    rng = random.Random("smooth-audit-differential")
+    cases = [(REF6, conic_product_pencil(REF6).member(1, 1).canonical())]
+    for _ in range(3):
+        config = random_general_config(rng, bound=5)
+        pencil = conic_product_pencil(config)
+        cases += [(config, pencil.member(1, k).canonical()) for k in (1, 2, 3)]
+        cases.append((config, random_nodal_sextic(config, rng)))
+    cases.append((Z0_CONFIG, conic_product_pencil(Z0_CONFIG).member(1, 1).canonical()))
+    cases.append((REF6, reducible_candidate()))
+    return cases
+
+
+def verdict_key(verdict):
+    return verdict.certified, verdict.attempts, verdict.detail, verdict.node_orders
+
+
+def test_smooth_elsewhere_matches_the_pgcd_reference(monkeypatch):
+    cases = smooth_audit_cases()
+    fast = [smooth_elsewhere(form, config.points) for config, form in cases]
+    monkeypatch.setattr(torsion, "_node_factor_audit", reference_node_factor_audit)
+    exact = [smooth_elsewhere(form, config.points) for config, form in cases]
+    assert [verdict_key(v) for v in fast] == [verdict_key(v) for v in exact]
+    assert fast[0].attempts == 4
+    # Every certified case took the mod-p route, so a fallback that always
+    # ran would fail here.
+    assert all(v.certified and v.route == "mod p" for v in fast[:-1])
+    assert fast[-1].detail.startswith("residual common factor of degree")
+    assert fast[-1].route is None
+
+
+def test_smooth_elsewhere_certifies_by_the_exact_route_when_mod_p_declines(monkeypatch):
+    form = conic_product_pencil(REF6).member(1, 1).canonical()
+    fast = smooth_elsewhere(form, REF6.points)
+    monkeypatch.setattr(_modp, "gcd_mod", lambda a, b, p: [0, 1])
+    exact = smooth_elsewhere(form, REF6.points)
+    assert verdict_key(exact) == verdict_key(fast)
+    assert (fast.route, exact.route) == ("mod p", "exact")
+
+
+def test_smoothness_route_stays_out_of_the_certificate_json():
+    cert = certify(REF6, conic_product_pencil(REF6).member(1, 1).canonical())
+    assert cert.smoothness.route == "mod p"
+    assert set(cert.to_json()["smooth_elsewhere"]) == {"certified", "attempts", "detail"}
+
+
+def frame_eliminants(config, form):
+    """(a_poly, b_poly, v_power, projections) for every admissible frame."""
+    out = []
+    for frame, _ in _admissible_frames(form, [q.coords for q in config.points]):
+        if frame is None:
+            continue
+        moved, nodes = frame
+        fx, fy, fz = (moved.partial(v) for v in range(3))
+        a_poly, a_v = _trailing_v_split(_binary_coefficients(resultant_eliminate(fx, fy, 0)))
+        b_poly, b_v = _trailing_v_split(_binary_coefficients(resultant_eliminate(fx, fz, 0)))
+        projections = [(q[1], q[2]) for q in nodes]
+        out.append((pprimitive(a_poly), pprimitive(b_poly), min(a_v, b_v), projections))
+    return out
+
+
+def test_node_audit_reads_a_node_at_z_zero_from_the_v_power():
+    form = conic_product_pencil(Z0_CONFIG).member(1, 1).canonical()
+    frames = frame_eliminants(Z0_CONFIG, form)
+    assert any(v_power >= 1 and any(z == 0 for _, z in projections)
+               for _, _, v_power, projections in frames)
+    for a_poly, b_poly, v_power, projections in frames:
+        orders, route, detail = _node_factor_audit(a_poly, b_poly, v_power, projections)
+        expected = reference_node_factor_audit(a_poly, b_poly, v_power, projections)
+        assert (orders, detail) == (expected[0], expected[2])
+        assert route == ("mod p" if orders is not None else None)
+    verdict = smooth_elsewhere(form, Z0_CONFIG.points)
+    assert verdict.certified and verdict.attempts == 2 and verdict.route == "mod p"
+
+
+# Synthetic eliminant pairs: products of the node linears den*u - num and
+# chosen cofactors, audited by both routes.
+NODE_ROOTS = [Fraction(1), Fraction(2), Fraction(-1, 3), Fraction(5, 2), Fraction(0), Fraction(-3, 4)]
+P1, P2 = _modp.SCREEN_PRIMES
+
+
+def node_product(powers):
+    out = [1]
+    for root, power in zip(NODE_ROOTS, powers):
+        for _ in range(power):
+            out = pmul(out, [-root.numerator, root.denominator])
+    return out
+
+
+def audit_both(a_poly, b_poly, v_power=0, projections=None):
+    if projections is None:
+        projections = [(r, Fraction(1)) for r in NODE_ROOTS]
+    got = _node_factor_audit(a_poly, b_poly, v_power, projections)
+    expected = reference_node_factor_audit(a_poly, b_poly, v_power, projections)
+    assert (got[0], got[2]) == (expected[0], expected[2])
+    return got
+
+
+def test_node_audit_counts_node_orders_as_the_gcd_multiplicity():
+    a_poly = pmul(node_product([2, 1, 3, 1, 1, 2]), [7, 0, 1])
+    b_poly = pmul(node_product([1, 2, 3, 1, 4, 1]), [1, 1, 3])
+    assert audit_both(a_poly, b_poly) == ((1, 1, 3, 1, 1, 1), "mod p", "")
+    missing = node_product([1, 1, 1, 1, 1, 0])
+    assert audit_both(pmul(missing, [7, 0, 1]), node_product([1] * 6)) == (
+        None,
+        None,
+        "node projection missing from the common factor",
+    )
+
+
+def test_node_audit_declines_a_shared_non_node_factor():
+    shared = [1, 0, 1]  # u^2 + 1, no node root
+    a_rest, b_rest = pmul(shared, [7, 0, 1]), pmul(shared, [1, 1, 3])
+    # The cofactors keep the shared factor mod p, so the mod-p proof fails.
+    assert all(len(_modp.gcd_mod(a_rest, b_rest, p)) == 3 for p in (P1, P2))
+    a_poly = pmul(node_product([1] * 6), a_rest)
+    b_poly = pmul(node_product([1] * 6), b_rest)
+    assert audit_both(a_poly, b_poly) == (None, None, "residual common factor of degree 2")
+
+
+def test_node_audit_falls_back_when_both_primes_divide_the_leading_coefficient():
+    nodes = node_product([1] * 6)
+    # Coprime cofactors: the exact route certifies.
+    a_poly = pmul(nodes, [1, 1, P1 * P2])
+    b_poly = pmul(nodes, [1, 3])
+    assert audit_both(a_poly, b_poly) == ((1,) * 6, "exact", "")
+    assert audit_both(b_poly, a_poly) == ((1,) * 6, "exact", "")
+    # Only the first prime divides: the second one proves coprimality.
+    assert audit_both(pmul(nodes, [1, 1, P1]), b_poly) == ((1,) * 6, "mod p", "")
+    # A shared factor P1*P2*u + 1 is a unit mod either prime, so the mod-p
+    # gcd has degree 0 although the cofactors are not coprime.
+    a_rest, b_rest = pmul([1, P1 * P2], [2, 1]), pmul([1, P1 * P2], [1, 3])
+    assert all(len(_modp.gcd_mod(a_rest, b_rest, p)) == 1 for p in (P1, P2))
+    a_poly, b_poly = pmul(nodes, a_rest), pmul(nodes, b_rest)
+    assert audit_both(a_poly, b_poly) == (None, None, "residual common factor of degree 1")
+
+
+def test_node_audit_handles_a_node_at_z_zero():
+    at_infinity = [(r, Fraction(1)) for r in NODE_ROOTS[:5]] + [(Fraction(3), Fraction(0))]
+    a_poly = pmul(node_product([1, 1, 1, 1, 1, 0]), [7, 0, 1])
+    b_poly = pmul(node_product([2, 1, 1, 1, 1, 0]), [1, 1, 3])
+    assert audit_both(a_poly, b_poly, 2, at_infinity) == ((1, 1, 1, 1, 1, 2), "mod p", "")
+    assert audit_both(a_poly, b_poly, 0, at_infinity) == (
+        None,
+        None,
+        "node projection missing from the common factor",
+    )
+    finite = [(r, Fraction(1)) for r in NODE_ROOTS[:5]]
+    assert audit_both(a_poly, b_poly, 1, finite) == (
+        None,
+        None,
+        "unexplained common root at infinity",
+    )
 
 
 def test_smooth_screen_passes_the_torsion_candidate():
