@@ -1,16 +1,23 @@
-"""GF(p) helpers for the smoothness screen and the coprimality proof.
+"""GF(p) helpers for the smoothness screen and the smoothness proofs.
 
 Univariate polynomials are int lists, low degree first, coefficients
-reduced mod p.  The screen's resultants come from the exact
+reduced mod p.  The resultants mod p come from the exact
 ``forms.resultant_eliminate`` run on forms reduced by ``frac_mod``;
 only the gcd and the root division run here.  The screen's hints never
 decide anything user-facing on their own; exact confirmation over Q
 always follows.
 
-``gcd_mod`` also supplies half of a proof in ``torsion.smooth_elsewhere``:
-for integer polynomials a and b whose leading coefficients p divides
-neither, a gcd of degree 0 in GF(p)[u] proves gcd(a, b) = 1 over Q.  Any
-other answer there leaves the decision to the exact gcd.
+``gcd_mod`` also proves facts in ``torsion.smooth_elsewhere``, in two
+places.  The degree count: reduction mod p preserves the two eliminants
+Res_x(fx, fy) and Res_x(fx, fz) when p divides no denominator and
+neither leading x-coefficient, and while both stay nonzero mod p their
+gcd as binary forms can only gain degree.  The six distinct node
+projections give it degree at least 6 over Q, so degree exactly 6 mod p
+proves that the nodes are the only common roots, each simple.  The
+coprimality audit: for integer polynomials a and b whose leading
+coefficients p divides neither, a gcd of degree 0 in GF(p)[u] proves
+gcd(a, b) = 1 over Q.  Any other answer, in either place, leaves the
+decision to exact arithmetic.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ points they already contain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .forms import TernaryForm
@@ -23,7 +22,6 @@ from .plane import (
     PointP2,
     conic_through,
     linear_system,
-    projective_equivalence,  # noqa: F401  (re-exported: equivalence of models)
 )
 
 

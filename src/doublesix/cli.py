@@ -103,7 +103,7 @@ def _load_form(path: str) -> TernaryForm:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
+        raise InputError(f"invalid form in {path}: invalid JSON: {exc}") from exc
     try:
         return TernaryForm.from_json(payload)
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .linalg import Matrix, determinant, inverse, rank, rat
 from .perms import Perm, class_size

@@ -10,7 +10,7 @@ triple, e.g. for conics: x^2, xy, xz, y^2, yz, z^2.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import _poly
@@ -202,7 +202,11 @@ class TernaryForm:
 
     @classmethod
     def from_json(cls, records: Iterable) -> "TernaryForm":
-        terms = [((int(i), int(j), int(k)), Fraction(str(c))) for i, j, k, c in records]
+        terms = [((i, j, k), Fraction(str(c))) for i, j, k, c in records]
+        for mono, _ in terms:
+            # bool is an int subclass; a float or a string is no exponent either.
+            if any(type(e) is not int for e in mono):
+                raise ValueError(f"exponents must be integers, got {list(mono)}")
         if not terms:
             raise ValueError("cannot infer the degree of an empty form")
         degree = sum(terms[0][0])

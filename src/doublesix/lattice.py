@@ -8,7 +8,7 @@ intersection form is diag(1, -1, ..., -1):  L^2 = 1, E_i^2 = -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .linalg import Matrix, determinant
 

@@ -157,8 +157,15 @@ def _binary_mul(a: list, b: list) -> list:
             out[i + j] += ai * bj
     return out
 
+
 def _binary_div_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Exact quotient of binary forms, preserving the degree convention."""
+    """Exact quotient of binary forms, preserving the degree convention.
+
+    The division runs over Z: both dehomogenized parts are replaced by
+    their primitive integer multiples, whose quotient is integral by
+    Gauss's lemma whenever it exists over Q, and the ratio of the two
+    contents scales it back.
+    """
     deg = len(num) - len(den)
     if deg < 0:
         raise ArithmeticError("binary division with quotient of negative degree")
@@ -174,8 +181,9 @@ def _binary_div_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction
     vd = len(den) - len(pd)
     if vn < vd:
         raise ArithmeticError("binary division is not exact")
-    q = pdiv_exact([Fraction(x) for x in pn], [Fraction(x) for x in pd])
-    q = [Fraction(x) for x in q]
+    int_num, int_den = pprimitive(pn), pprimitive(pd)
+    scale = Fraction(pn[-1]) / int_num[-1] / (Fraction(pd[-1]) / int_den[-1])
+    q = [x * scale for x in pdiv_exact(int_num, int_den)]
     return q + [_ZERO] * (deg + 1 - len(q))
 
 
@@ -356,7 +364,7 @@ class SmoothnessVerdict:
     attempts: int
     detail: str
     node_orders: tuple[int, ...] | None = None  # gcd multiplicity per node
-    route: str | None = None  # eliminant coprimality proof: "mod p" or "exact"
+    route: str | None = None  # "degree count", "mod p" or "exact"; None if not certified
 
     def describe(self) -> str:
         status = "smooth away from the nodes" if self.certified else "not certified"
@@ -497,82 +505,24 @@ def _admissible_frames(form: TernaryForm, node_coords: list):
         yield (moved, moved_nodes), ""
 
 
-def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
-    """Certify that ``form`` is singular only at the given node points.
+def _singular_at(form: TernaryForm, points: list) -> bool:
+    """Exact check that every point is nonzero and all three partials vanish there.
 
-    Projects the singular locus away from a coordinate vertex by
-    eliminating the first variable from two partial-derivative pairs,
-    divides each node projection out of the two eliminants, and insists
-    the cofactors be coprime, with a unique singular point on each
-    node's vertical line.  Coordinate changes from a fixed catalog retry
-    any coincidental failure.
-
-    Coprimality is proved modulo the first prime p of
-    ``_modp.SCREEN_PRIMES`` that divides neither leading coefficient.
-    The cofactors a, b are integer polynomials (Gauss's lemma keeps every
-    exact division by a primitive node linear integral), so their
-    primitive gcd g over Z divides both in Z[u]; lc(g) divides lc(a),
-    hence g mod p keeps its degree and divides gcd(a mod p, b mod p).  A
-    gcd of degree 0 mod p therefore proves gcd(a, b) = 1 over Q (Brown
-    1971, J. ACM 18(4); von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, ch. 6).  Otherwise an exact ``pgcd`` decides.  The verdict
-    records which route certified.
+    Runs on integers: the partials are scaled by the common denominator of
+    the form's coefficients, and each point by that of its coordinates.
     """
-    if form.degree != 6:
-        raise ValueError("smoothness certification targets degree-six forms")
-    node_coords = [getattr(p, "coords", p) for p in nodes]
-    last_detail = "no admissible coordinate system found"
-    used = 0
-    for frame, why in _admissible_frames(form, node_coords):
-        used += 1
-        if frame is None:
-            last_detail = why
-            continue
-        moved, moved_nodes = frame
-        projections = [(q[1], q[2]) for q in moved_nodes]
-        fx = moved.partial(0)
-        fy = moved.partial(1)
-        fz = moved.partial(2)
-        try:
-            elim_y = resultant_eliminate(fx, fy, 0)
-            elim_z = resultant_eliminate(fx, fz, 0)
-        except DegenerateEliminationError:
-            last_detail = "elimination degenerated in this coordinate system"
-            continue
-        if elim_y.is_zero or elim_z.is_zero:
-            return SmoothnessVerdict(
-                False, used, "partial derivatives share a factor: the curve is not reduced"
-            )
-        a_poly, a_v = _trailing_v_split(_binary_coefficients(elim_y))
-        b_poly, b_v = _trailing_v_split(_binary_coefficients(elim_z))
-        orders, route, detail = _node_factor_audit(
-            pprimitive(a_poly), pprimitive(b_poly), min(a_v, b_v), projections
-        )
-        if orders is None:
-            last_detail = detail
-            continue
-        # Each node's vertical line may contain no second singular point.
-        line_ok = True
-        for q in moved_nodes:
-            polys = [_restrict_line(g, q[1], q[2]) for g in (fx, fy, fz)]
-            gcd_line = pgcd(pgcd(polys[0], polys[1]), polys[2])
-            if not gcd_line:
-                line_ok = False
-                last_detail = "a node line lies in the singular locus"
-                break
-            reduced, count = _divide_out_root(gcd_line, q[0])
-            if count < 1 or len(reduced) > 1:
-                line_ok = False
-                last_detail = "extra singular point on a node line"
-                break
-        if not line_ok:
-            continue
-        return SmoothnessVerdict(True, used, "only the six nodes are singular", orders, route)
-    return SmoothnessVerdict(False, used, last_detail)
-
-
-# ----------------------------------------------------------------------
-# GF(p) screen for the smoothness check
+    den = lcm(*(c.denominator for _, c in form.terms()))
+    partials = [[(m, int(c * den)) for m, c in form.partial(v).terms()] for v in range(3)]
+    for q in points:
+        q = [rat(c) for c in q]
+        scale = lcm(*(c.denominator for c in q))
+        x, y, z = (int(c * scale) for c in q)
+        if x == y == z == 0:
+            return False
+        for g in partials:
+            if sum(c * x**i * y**j * z**k for (i, j, k), c in g):
+                return False
+    return True
 
 
 def _modp_resultant_x(f: TernaryForm, g: TernaryForm, p: int) -> list[int] | None:
@@ -597,6 +547,125 @@ def _modp_resultant_x(f: TernaryForm, g: TernaryForm, p: int) -> list[int] | Non
     except ValueError:  # degenerate elimination, or a form that vanishes mod p
         return None
     return [c.numerator % p for c in _binary_coefficients(res)]
+
+
+def _modp_gcd_degree(fx: TernaryForm, fy: TernaryForm, fz: TernaryForm) -> int | None:
+    """Degree of gcd(Res_x(fx, fy), Res_x(fx, fz)) as binary forms over GF(p).
+
+    p is the first prime of ``_modp.SCREEN_PRIMES`` at which both
+    eliminants reduce and neither vanishes; None when there is no such
+    prime.  The gcd of binary forms is the gcd of the dehomogenized parts
+    times the smaller of the two powers of v.
+    """
+    for p in _modp.SCREEN_PRIMES:
+        elims = [_modp_resultant_x(fx, g, p) for g in (fy, fz)]
+        if any(e is None or not any(e) for e in elims):
+            continue
+        (a_poly, a_v), (b_poly, b_v) = (_trailing_v_split(e) for e in elims)
+        return len(_modp.gcd_mod(a_poly, b_poly, p)) - 1 + min(a_v, b_v)
+    return None
+
+
+def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
+    """Certify that ``form`` is singular only at the given node points.
+
+    Projects the singular locus away from a coordinate vertex by
+    eliminating the first variable from two partial-derivative pairs,
+    shows that the two eliminants share exactly the node projections,
+    each once, and insists on a unique singular point on each node's
+    vertical line.  Coordinate changes from a fixed catalog retry any
+    coincidental failure.
+
+    In each admissible frame a degree count mod p is tried first.  The
+    leading x-coefficients of the partials are nonzero constants, so each
+    node, where fx = fy = fz = 0, projects to a root of both binary forms
+    a = Res_x(fx, fy) and b = Res_x(fx, fz) of degree 25, and the n node
+    projections are distinct: deg gcd(a, b) >= n over Q.  Reduction mod a
+    prime p that divides no denominator and neither leading x-coefficient
+    preserves each resultant.  When a and b stay nonzero mod p, their
+    primitive gcd g over Z divides both, and g mod p is a nonzero binary
+    form of the same degree, so reduction can only raise the degree of
+    the gcd (Brown 1971 and Collins 1971, J. ACM 18(4)).  A gcd
+    of degree exactly n mod p therefore proves that gcd(a, b) is the
+    product of the n node linears, each of order 1; route "degree count".
+    The argument needs every given node to be a singular point, which is
+    checked exactly first, since the caller may not have run
+    ``node_profile``.
+
+    Any other outcome (a gcd of higher degree, no prime with a good and
+    nonzero reduction, a node that is not singular) falls back to the
+    exact eliminants in the same frame.  Their audit divides each node
+    projection out of both and proves the cofactors coprime modulo the
+    first prime p of ``_modp.SCREEN_PRIMES`` that divides neither leading
+    coefficient.  The cofactors a, b are integer polynomials (Gauss's
+    lemma keeps every exact division by a primitive node linear
+    integral), so their primitive gcd g over Z divides both in Z[u];
+    lc(g) divides lc(a), hence g mod p keeps its degree and divides
+    gcd(a mod p, b mod p).  A gcd of degree 0 mod p therefore proves
+    gcd(a, b) = 1 over Q (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 6); route "mod p".  Otherwise an exact ``pgcd``
+    decides; route "exact".  Both paths reach the same verdict, attempts
+    and node orders; only the route differs.
+    """
+    if form.degree != 6:
+        raise ValueError("smoothness certification targets degree-six forms")
+    node_coords = [getattr(p, "coords", p) for p in nodes]
+    nodes_singular = _singular_at(form, node_coords)
+    last_detail = "no admissible coordinate system found"
+    used = 0
+    for frame, why in _admissible_frames(form, node_coords):
+        used += 1
+        if frame is None:
+            last_detail = why
+            continue
+        moved, moved_nodes = frame
+        fx = moved.partial(0)
+        fy = moved.partial(1)
+        fz = moved.partial(2)
+        if nodes_singular and _modp_gcd_degree(fx, fy, fz) == len(node_coords):
+            orders, route = (1,) * len(node_coords), "degree count"
+        else:
+            try:
+                elim_y = resultant_eliminate(fx, fy, 0)
+                elim_z = resultant_eliminate(fx, fz, 0)
+            except DegenerateEliminationError:
+                last_detail = "elimination degenerated in this coordinate system"
+                continue
+            if elim_y.is_zero or elim_z.is_zero:
+                return SmoothnessVerdict(
+                    False, used, "partial derivatives share a factor: the curve is not reduced"
+                )
+            a_poly, a_v = _trailing_v_split(_binary_coefficients(elim_y))
+            b_poly, b_v = _trailing_v_split(_binary_coefficients(elim_z))
+            projections = [(q[1], q[2]) for q in moved_nodes]
+            orders, route, detail = _node_factor_audit(
+                pprimitive(a_poly), pprimitive(b_poly), min(a_v, b_v), projections
+            )
+            if orders is None:
+                last_detail = detail
+                continue
+        # Each node's vertical line may contain no second singular point.
+        line_ok = True
+        for q in moved_nodes:
+            polys = [_restrict_line(g, q[1], q[2]) for g in (fx, fy, fz)]
+            gcd_line = pgcd(pgcd(polys[0], polys[1]), polys[2])
+            if not gcd_line:
+                line_ok = False
+                last_detail = "a node line lies in the singular locus"
+                break
+            reduced, count = _divide_out_root(gcd_line, q[0])
+            if count < 1 or len(reduced) > 1:
+                line_ok = False
+                last_detail = "extra singular point on a node line"
+                break
+        if not line_ok:
+            continue
+        return SmoothnessVerdict(True, used, "only the six nodes are singular", orders, route)
+    return SmoothnessVerdict(False, used, last_detail)
+
+
+# ----------------------------------------------------------------------
+# GF(p) screen for the smoothness check
 
 
 def _screen_frame(moved: TernaryForm, moved_nodes: list) -> bool | None:

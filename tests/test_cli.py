@@ -188,6 +188,30 @@ def test_torsion_form_must_be_a_nonzero_sextic(tmp_path, capsys, records, messag
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        json.dumps([[6.9, 0, 0, "1"]]),
+        json.dumps([[True, 5, 0, "1"]]),
+        json.dumps([[5.5, 1, 0, "1"]]),
+        json.dumps({"terms": [[6, 0, 0, "1"]]}),
+        json.dumps([[6, 0, 0, "1/0"]]),
+        json.dumps([[6, "1"]]),
+        "[[6, 0, 0, ",
+    ],
+    ids=["float-exponent", "bool-exponent", "half-exponent", "dict", "zero-denominator",
+         "two-entry-term", "not-json"],
+)
+def test_hostile_forms_exit_two(tmp_path, capsys, payload):
+    path = tmp_path / "form.json"
+    path.write_text(payload)
+    code, out, err = run(capsys, ["torsion", "--form", str(path), "--json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid form")
+    assert "Traceback" not in err
+
+
 def test_torsion_form_and_pencil_flags_conflict(capsys):
     with pytest.raises(SystemExit) as info:
         main(["torsion", "--pencil", "--form", "x.json"])

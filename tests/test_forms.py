@@ -160,6 +160,17 @@ def test_json_round_trip_preserves_exact_values():
     assert TernaryForm.from_json(f.to_json()) == f
 
 
+@pytest.mark.parametrize(
+    "records",
+    [[[6.9, 0, 0, "1"]], [[True, 5, 0, "1"]], [[5, 1, "0", "1"]], {"terms": [[6, 0, 0, "1"]]}],
+    ids=["float", "bool", "string", "dict"],
+)
+def test_json_rejects_exponents_that_are_not_integers(records):
+    # int() would read 6.9 as 6 and True as 1, giving a different sextic.
+    with pytest.raises(ValueError):
+        TernaryForm.from_json(records)
+
+
 def test_resultant_small_known_case():
     # Res_x of (x - y) and (x - z) is z - y up to sign: root x = y forces y = z.
     f = X - Y

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from doublesix import _modp, torsion
-from doublesix._poly import peval, pgcd, pmul, pprimitive, ptrim
+from doublesix._poly import pdiv_exact, peval, pgcd, pmul, pprimitive, ptrim
 from doublesix.association import exceptional_conics
 from doublesix.forms import TernaryForm, resultant_eliminate
 from doublesix.linalg import Matrix, determinant, inverse, rank
@@ -281,7 +281,13 @@ def verdict_key(verdict):
     return verdict.certified, verdict.attempts, verdict.detail, verdict.node_orders
 
 
+def decline_degree_count(monkeypatch):
+    monkeypatch.setattr(torsion, "_modp_gcd_degree", lambda fx, fy, fz: None)
+
+
 def test_smooth_elsewhere_matches_the_pgcd_reference(monkeypatch):
+    # The degree count would certify every case before either audit ran.
+    decline_degree_count(monkeypatch)
     cases = smooth_audit_cases()
     fast = [smooth_elsewhere(form, config.points) for config, form in cases]
     monkeypatch.setattr(torsion, "_node_factor_audit", reference_node_factor_audit)
@@ -301,13 +307,120 @@ def test_smooth_elsewhere_certifies_by_the_exact_route_when_mod_p_declines(monke
     monkeypatch.setattr(_modp, "gcd_mod", lambda a, b, p: [0, 1])
     exact = smooth_elsewhere(form, REF6.points)
     assert verdict_key(exact) == verdict_key(fast)
-    assert (fast.route, exact.route) == ("mod p", "exact")
+    # A gcd of degree 1 mod p also makes the degree count decline.
+    assert (fast.route, exact.route) == ("degree count", "exact")
 
 
 def test_smoothness_route_stays_out_of_the_certificate_json():
     cert = certify(REF6, conic_product_pencil(REF6).member(1, 1).canonical())
-    assert cert.smoothness.route == "mod p"
+    assert cert.smoothness.route == "degree count"
     assert set(cert.to_json()["smooth_elsewhere"]) == {"certified", "attempts", "detail"}
+
+
+def record_gcd_degrees(monkeypatch):
+    """Patch ``_modp_gcd_degree`` to log every degree it returns."""
+    degrees = []
+    original = torsion._modp_gcd_degree
+
+    def recorded(fx, fy, fz):
+        degrees.append(original(fx, fy, fz))
+        return degrees[-1]
+
+    monkeypatch.setattr(torsion, "_modp_gcd_degree", recorded)
+    return degrees
+
+
+def test_degree_count_matches_the_exact_eliminants(monkeypatch):
+    cases = smooth_audit_cases()
+    degrees = record_gcd_degrees(monkeypatch)
+    counted = []
+    for config, form in cases:
+        degrees.clear()
+        counted.append((smooth_elsewhere(form, config.points), list(degrees)))
+    decline_degree_count(monkeypatch)
+    exact = [smooth_elsewhere(form, config.points) for config, form in cases]
+    assert [verdict_key(v) for v, _ in counted] == [verdict_key(v) for v in exact]
+    # Every certified case was proved by the count, in its first admissible
+    # frame, with degree exactly 6: REF6 in frame 4, the z = 0 member in 2.
+    for (verdict, seen), reference in zip(counted[:-1], exact):
+        assert verdict.certified and verdict.route == "degree count"
+        assert verdict.node_orders == (1,) * 6 and seen == [6]
+        assert reference.route == "mod p"
+    assert counted[0][0].attempts == 4
+    assert counted[-2][0].attempts == 2
+    # The reducible candidate is singular at the 8 - 5 = 3 further points where
+    # the conic meets the quartic: the count reads 6 + 3 in its one admissible
+    # frame and declines, and the exact audit reports the residual factor.
+    reducible, seen = counted[-1]
+    assert not reducible.certified and reducible.route is None
+    assert seen == [9] and reducible.detail == "residual common factor of degree 3"
+
+
+@pytest.mark.parametrize("extra", [[3, 1], [1, 0]], ids=["linear", "power-of-v"])
+def test_degree_count_above_six_falls_back_to_the_exact_eliminants(monkeypatch, extra):
+    """A common factor u + 3v (or v) added to both eliminants mod p lifts the
+    gcd to degree 7, which proves nothing; the exact route must decide."""
+    form = conic_product_pencil(REF6).member(1, 1).canonical()
+    original = torsion._modp_resultant_x
+
+    def with_extra_factor(f, g, p):
+        res = original(f, g, p)
+        return None if res is None else [c % p for c in _binary_mul(res, extra)]
+
+    degrees = record_gcd_degrees(monkeypatch)
+    monkeypatch.setattr(torsion, "_modp_resultant_x", with_extra_factor)
+    verdict = smooth_elsewhere(form, REF6.points)
+    assert degrees == [7]
+    assert verdict_key(verdict) == (True, 4, "only the six nodes are singular", (1,) * 6)
+    assert verdict.route == "mod p"
+
+
+@pytest.mark.parametrize("bad", [None, [0] * 26], ids=["bad-reduction", "zero-reduction"])
+@pytest.mark.parametrize("primes", [1, 2])
+def test_degree_count_moves_to_the_next_prime(monkeypatch, bad, primes):
+    """An eliminant that reduces badly or to zero at the first prime sends the
+    count to the second; at both primes the exact route decides."""
+    form = conic_product_pencil(REF6).member(1, 1).canonical()
+    original = torsion._modp_resultant_x
+    broken = _modp.SCREEN_PRIMES[:primes]
+    seen = []
+
+    def failing(f, g, p):
+        seen.append(p)
+        return bad if p in broken else original(f, g, p)
+
+    monkeypatch.setattr(torsion, "_modp_resultant_x", failing)
+    verdict = smooth_elsewhere(form, REF6.points)
+    assert verdict_key(verdict) == (True, 4, "only the six nodes are singular", (1,) * 6)
+    assert verdict.route == ("degree count" if primes == 1 else "mod p")
+    assert set(seen) == set(_modp.SCREEN_PRIMES)
+
+
+def test_degree_count_needs_every_node_to_be_singular(monkeypatch):
+    form = conic_product_pencil(REF6).member(1, 1).canonical()
+    # (7, -3, 11) is not on the curve, and point 6 is left out, so the six
+    # given projections are still the gcd's six roots mod p: without the
+    # exact precheck the count would certify.
+    fake_nodes = [q.coords for q in REF6.points[:5]] + [(7, -3, 11)]
+    assert not torsion._singular_at(form, fake_nodes)
+    assert not torsion._singular_at(form, [(0, 0, 0)])
+    assert torsion._singular_at(form, [q.coords for q in REF6.points])
+    # Each partial is checked: the sextic line x_v^6 is singular exactly
+    # where x_v = 0, and only its v-th partial is nonzero at (1, 1, 1).
+    for v in range(3):
+        power = TernaryForm.monomial(tuple(6 if w == v else 0 for w in range(3)))
+        assert not torsion._singular_at(power, [(1, 1, 1)])
+        assert torsion._singular_at(power, [tuple(Fraction(w != v, 3) for w in range(3))])
+    frames = [frame for frame, _ in _admissible_frames(form, fake_nodes) if frame is not None]
+    moved = frames[0][0]
+    assert torsion._modp_gcd_degree(*(moved.partial(v) for v in range(3))) == 6
+    degrees = record_gcd_degrees(monkeypatch)
+    verdict = smooth_elsewhere(form, fake_nodes)
+    assert degrees == []
+    decline_degree_count(monkeypatch)
+    assert verdict_key(verdict) == verdict_key(smooth_elsewhere(form, fake_nodes))
+    assert not verdict.certified and verdict.route is None
+    assert verdict.detail == "node projection missing from the common factor"
 
 
 def frame_eliminants(config, form):
@@ -336,7 +449,7 @@ def test_node_audit_reads_a_node_at_z_zero_from_the_v_power():
         assert (orders, detail) == (expected[0], expected[2])
         assert route == ("mod p" if orders is not None else None)
     verdict = smooth_elsewhere(form, Z0_CONFIG.points)
-    assert verdict.certified and verdict.attempts == 2 and verdict.route == "mod p"
+    assert verdict.certified and verdict.attempts == 2 and verdict.route == "degree count"
 
 
 # Synthetic eliminant pairs: products of the node linears den*u - num and
@@ -541,6 +654,46 @@ def test_integer_conic_composition_matches_the_fraction_reference():
             q = _binary_div_exact(composed, chart.forced)
             assert _conic_restriction(form, chart) == (q[0], q[1], q[2])
         assert _compose_binary(TernaryForm.zero(6), chart.theta) == [Fraction(0)] * 13
+
+
+def reference_binary_div_exact(num, den):
+    """Quotient of binary forms by Fraction ``pdiv_exact``: the reference for
+    the integer division of ``_binary_div_exact``."""
+    pn, pd = ptrim(list(num)), ptrim(list(den))
+    if not pn:
+        return [Fraction(0)] * (len(num) - len(den) + 1)
+    if len(num) - len(pn) < len(den) - len(pd):
+        raise ArithmeticError("binary division is not exact")
+    q = pdiv_exact([Fraction(x) for x in pn], [Fraction(x) for x in pd])
+    return q + [Fraction(0)] * (len(num) - len(den) + 1 - len(q))
+
+
+def test_integer_binary_division_matches_the_fraction_reference():
+    rng = random.Random("binary-division-differential")
+    cases = 0
+    for config, chart, forms in conic_chart_cases():
+        for form in forms + [forms[0].scale(Fraction(-7, 12))]:
+            composed = _compose_binary(form, chart.theta)
+            assert _binary_div_exact(composed, chart.forced) == reference_binary_div_exact(
+                composed, chart.forced
+            )
+            cases += 1
+    assert cases >= 198
+    # Synthetic quotients with rational coefficients and powers of v on
+    # either side; the division must undo the product exactly.
+    for _ in range(40):
+        quotient = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+        divisor = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+        quotient[rng.randrange(4)] = Fraction(rng.randint(1, 9), 7)
+        divisor[0] = Fraction(rng.randint(1, 9), 5)
+        divisor += [Fraction(0)] * rng.randint(0, 2)
+        product = _binary_mul(quotient, divisor)
+        got = _binary_div_exact(product, divisor)
+        assert got == quotient == reference_binary_div_exact(product, divisor)
+        assert all(isinstance(x, Fraction) for x in got)
+    # u^2 / (2u + 1) leaves a remainder, seen first at the leading coefficient.
+    with pytest.raises(ArithmeticError):
+        _binary_div_exact([Fraction(0), Fraction(0), Fraction(1)], [Fraction(1), Fraction(2)])
 
 
 def test_conic_restriction_rejects_a_form_off_the_forced_divisor():
