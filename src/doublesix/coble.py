@@ -14,21 +14,23 @@ by t_i multiplies x0..x4 by prod(t_i) and x5 by its square; a matrix g
 on coordinates contributes det(g)^2 and det(g)^4.
 
 Relabelling the points acts linearly on (x0..x4) and by the sign of
-the permutation on x5.  The action matrices are recovered by exact
-interpolation on random configurations rather than by symbolic
-straightening; the classical table rows are kept as reference data and
-cross-checked in the test-suite.
+the permutation on x5.  A relabelling only permutes brackets, so each
+action matrix is read off a table of the ten complementary bracket
+products in terms of x0..x4 (five Grassmann-Pluecker relations), and
+the sign follows from x5 being, up to a constant, the Veronese
+determinant of the six points.  The classical table rows are kept as
+reference data and cross-checked in the test-suite.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, determinant, inverse, rank, rat
+from .association import second_model
+from .linalg import Matrix, determinant, rat
 from .perms import Perm, class_size
-from .plane import Config6, random_general_config
+from .plane import Config6
 
 #: Index triples (1-based) whose complementary bracket products give x0..x4.
 GENERATOR_PARTITIONS: tuple[tuple[int, int, int], ...] = (
@@ -99,8 +101,11 @@ def coble_vector(c: Config6) -> CobleVector:
 RELATION_VARIANTS = ("plus", "minus")
 
 #: Sign of the y0 term inside the last factor of the quartic relation.
-#: Fixed empirically: exactly one choice vanishes on configurations
-#: (the test-suite certifies it on a hundred random samples).
+#: Proved in the test-suite: the residual scales by det(g)^8 prod(t_i^4),
+#: so it vanishes identically iff it vanishes on the frame chart e1, e2,
+#: e3, (1,1,1), (1,a,b), (1,c,d), where its degree in each of a, b, c, d
+#: is at most 4.  "plus" vanishes on the whole 5^4 grid {0..4}^4, hence
+#: everywhere; "minus" does not.
 CERTIFIED_RELATION_VARIANT = "plus"
 
 
@@ -148,68 +153,53 @@ class ActionRecord:
         return sum(self.matrix.at(i, i) for i in range(5))
 
 
-_SAMPLE_SEED = "doublesix-action-samples"
-_samples_cache: tuple[list[Config6], list[Config6]] | None = None
+#: Each complementary bracket product D_T D_T' as an integer row in
+#: (x0..x4), keyed by the triple T that contains label 1.  Five rows are
+#: the generators themselves; the other five are Grassmann-Pluecker
+#: relations (the test-suite proves every row on all 3^6 tuples of
+#: coordinate basis vectors, which suffices since both sides are linear
+#: in each representative row).
+_PARTITION_PRODUCTS: dict[tuple[int, int, int], tuple[int, ...]] = {
+    (1, 2, 3): (1, 0, 0, 0, 0),
+    (1, 2, 4): (0, 1, 0, 0, 0),
+    (1, 2, 5): (0, 0, 1, 0, 0),
+    (1, 2, 6): (1, -1, 1, 0, 0),
+    (1, 3, 4): (0, 0, 0, 1, 0),
+    (1, 3, 5): (0, 0, 0, 0, 1),
+    (1, 3, 6): (-1, 0, 0, -1, 1),
+    (1, 4, 5): (-1, 1, -1, -1, 1),
+    (1, 4, 6): (-1, 0, -1, 0, 1),
+    (1, 5, 6): (1, -1, 0, 1, 0),
+}
 
 
-def _sample_configs() -> tuple[list[Config6], list[Config6]]:
-    """Deterministic solve/verify configurations for interpolation.
-
-    Five configurations whose degree-one vectors are linearly
-    independent (plus nonvanishing x5), then three more for
-    verification.
-    """
-    global _samples_cache
-    if _samples_cache is not None:
-        return _samples_cache
-    rng = random.Random(_SAMPLE_SEED)
-    solve: list[Config6] = []
-    vectors: list[tuple[Fraction, ...]] = []
-    verify: list[Config6] = []
-    while len(verify) < 3:
-        c = random_general_config(rng, bound=9)
-        v = coble_vector(c)
-        if v[5] == 0:
-            continue
-        if len(solve) < 5:
-            candidate = vectors + [v.degree_one]
-            if rank(Matrix(candidate)) == len(candidate):
-                solve.append(c)
-                vectors.append(v.degree_one)
-            continue
-        verify.append(c)
-    _samples_cache = (solve, verify)
-    return _samples_cache
+def _sorted_with_sign(labels: list[int]) -> tuple[tuple[int, int, int], int]:
+    """Sort three distinct labels; the sign is that of the sorting permutation."""
+    inversions = sum(1 for i in range(3) for j in range(i + 1, 3) if labels[i] > labels[j])
+    return tuple(sorted(labels)), -1 if inversions % 2 else 1
 
 
 def s6_action(sigma: Perm) -> ActionRecord:
-    """Interpolate the exact matrix of a relabelling on the generators.
+    """The exact matrix of a relabelling on the generators, read off the brackets.
 
-    Solves the 5x5 linear system from five independent sample vectors,
-    then checks the answer (and the x5 sign) on three held-out
-    configurations; any mismatch raises, so a returned record is
-    self-certified.
+    Row i of ``c.relabel(sigma)`` is row sigma(i) of c, so
+    D_ijk(sigma c) = +-D_U(c) with U the sorted image labels and the
+    sign that of the sort.  Generator g = D_T D_T' therefore becomes a
+    signed complementary product D_U D_U' of c, whose row in (x0..x4)
+    is read from ``_PARTITION_PRODUCTS``.
+
+    x5 equals -det V, where V is the 6x6 Veronese matrix with columns
+    x^2, y^2, z^2, xy, xz, yz on the representative rows (the classical
+    conic condition; the test-suite proves the identity on a chart grid).
+    Relabelling permutes the rows of V, so x5 changes by sign(sigma).
     """
-    solve, verify = _sample_configs()
-    cols = [coble_vector(c).degree_one for c in solve]
-    images = [coble_vector(c.relabel(sigma)) for c in solve]
-    x_mat = Matrix(cols).transpose()
-    xp_mat = Matrix([im.degree_one for im in images]).transpose()
-    m = xp_mat @ inverse(x_mat)
-
-    signs = set()
-    for c, im in zip(solve, images):
-        v5 = coble_vector(c)[5]
-        signs.add(im[5] / v5)
-    for c in verify:
-        v = coble_vector(c)
-        w = coble_vector(c.relabel(sigma))
-        if m.apply(v.degree_one) != w.degree_one:
-            raise AssertionError("interpolated action failed held-out verification")
-        signs.add(w[5] / v[5])
-    if len(signs) != 1 or next(iter(signs)) not in (1, -1):
-        raise AssertionError(f"x5 does not transform by a consistent sign: {signs}")
-    return ActionRecord(sigma, m, int(next(iter(signs))))
+    rows = []
+    for triple in GENERATOR_PARTITIONS:
+        image, sign = _sorted_with_sign([sigma(i - 1) + 1 for i in triple])
+        co_image, co_sign = _sorted_with_sign([sigma(i - 1) + 1 for i in _complement(triple)])
+        key = image if image[0] == 1 else co_image
+        rows.append([sign * co_sign * a for a in _PARTITION_PRODUCTS[key]])
+    return ActionRecord(sigma, Matrix(rows), sigma.sign())
 
 
 #: Conjugacy-class representatives in a fixed order (cycle notation).
@@ -237,7 +227,7 @@ def representative_perm(name: str) -> Perm:
 
 #: Classical table of the action on (x0..x4) for the ten non-identity
 #: representatives; rows are images of (x0..x4) as integer vectors.
-#: The interpolation above must reproduce these exactly.
+#: ``s6_action`` must reproduce these exactly.
 REFERENCE_ACTION_ROWS: dict[str, tuple[tuple[int, ...], ...]] = {
     "(12)": ((-1, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, -1, 0, 0), (1, -1, 0, 1, 0), (-1, 0, -1, 0, 1)),
     "(12)(34)": ((0, -1, 0, 0, 0), (-1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (-1, 1, 0, -1, 0), (-1, 0, 0, -1, 1)),
@@ -337,8 +327,6 @@ def schlaefli_sign_check(c: Config6) -> SchlaefliCheck:
     conics, in matching labels) must satisfy x'_j = t x_j for j <= 4
     for a single scale t, and x'_5 = -t^2 x_5.
     """
-    from .association import second_model
-
     v = coble_vector(c)
     w = coble_vector(second_model(c).associated)
     scale = None

@@ -812,9 +812,8 @@ def certify(config: Config6, form: TernaryForm) -> TorsionCertificate:
     """
     verdict = is_general_position(config)
     if not verdict.ok:
-        return TorsionCertificate(
-            config, form, False, ("configuration is not in general position",)
-        )
+        reason = f"configuration is not in general position: {verdict.describe()}"
+        return TorsionCertificate(config, form, False, (reason,))
     profile = node_profile(config, form)
     if not profile.ok:
         return TorsionCertificate(
@@ -869,9 +868,8 @@ def certify_pencil(config: Config6) -> TorsionCertificate:
     """
     verdict = is_general_position(config)
     if not verdict.ok:
-        return TorsionCertificate(
-            config, None, False, ("configuration is not in general position",)
-        )
+        reason = f"configuration is not in general position: {verdict.describe()}"
+        return TorsionCertificate(config, None, False, (reason,))
     pencil = conic_product_pencil(config)
     last: TorsionCertificate | None = None
     for k in range(1, PENCIL_MEMBERS + 1):

@@ -1,5 +1,6 @@
 """Exit codes, report bytes, and input handling of the command line."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from doublesix.cli import main
 from doublesix.plane import REF6
 from doublesix.report import SCHEMA
-from doublesix.torsion import conic_product_pencil
+from doublesix.torsion import certify_pencil, conic_product_pencil
 
 COLLINEAR_PAYLOAD = {
     "points": [
@@ -47,6 +48,18 @@ def test_check_position_reports_the_collinear_witness(tmp_path, capsys):
     check = data["checks"][0]
     assert check["status"] == "fail"
     assert check["details"]["collinear_triple"] == [1, 2, 3]
+
+
+def test_torsion_on_a_collinear_configuration_names_the_witness(tmp_path, capsys):
+    path = tmp_path / "collinear.json"
+    path.write_text(json.dumps(COLLINEAR_PAYLOAD))
+    code, out, _ = run(capsys, ["torsion", "--input", str(path), "--json"])
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["status"] == "fail"
+    assert check["details"]["reasons"] == [
+        "configuration is not in general position: points 1, 2, 3 are collinear"
+    ]
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):
@@ -237,6 +250,19 @@ def test_action_table_smoke(capsys):
     assert data["checks"][0]["id"] == "permutation-action"
 
 
+#: SHA-256 of report bytes, pinned so that a change to any verdict,
+#: witness or number in them shows up as a failing test.
+VERIFY_PAPER_DIGESTS = {
+    "3": "9404cce421911b559bcc84dab3642f4446721eaaedc258ece44d07e2453816db",
+    "11": "790a5cf3fda24f9cb1511c0ef3c00a9798b24628f1f439bee50c26a4e8bdcb21",
+}
+REF6_PENCIL_CERTIFICATE_DIGEST = "f2cf195bc80379346e2db349d44a346c3ff1dfd34c5b2e63bde73c7cf31e3943"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_verify_paper_reports_are_byte_identical(capsys):
     argv = ["verify-paper", "--seed", "11", "--trials", "2", "--json"]
     first_code, first_out, _ = run(capsys, argv)
@@ -246,3 +272,12 @@ def test_verify_paper_reports_are_byte_identical(capsys):
     data = json.loads(first_out)
     assert data["summary"]["total"] == 9
     assert data["summary"]["status"] == "pass"
+    assert sha256(first_out) == VERIFY_PAPER_DIGESTS["11"]
+    code, out, _ = run(capsys, ["verify-paper", "--seed", "3", "--trials", "2", "--json"])
+    assert code == 0
+    assert sha256(out) == VERIFY_PAPER_DIGESTS["3"]
+
+
+def test_reference_pencil_certificate_bytes_are_pinned():
+    data = json.dumps(certify_pencil(REF6).to_json(), sort_keys=True)
+    assert sha256(data) == REF6_PENCIL_CERTIFICATE_DIGEST

@@ -2,14 +2,19 @@
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 from doublesix.coble import (
+    _PARTITION_PRODUCTS,
     CERTIFIED_RELATION_VARIANT,
     CONJUGACY_REPRESENTATIVES,
     GENERATOR_PARTITIONS,
     REFERENCE_ACTION_ROWS,
+    ActionRecord,
     bracket,
     character_report,
     coble_vector,
@@ -19,7 +24,7 @@ from doublesix.coble import (
     schlaefli_sign_check,
     y_basis,
 )
-from doublesix.linalg import Matrix, determinant
+from doublesix.linalg import Matrix, determinant, inverse, rank
 from doublesix.perms import Perm
 from doublesix.plane import REF6, Config6, random_general_config
 
@@ -87,6 +92,135 @@ def test_y_basis_change():
     assert y_basis((1, 2, 3, 4, 5, 6)) == (1, 2, 5, -4, -5, 6)
     with pytest.raises(ValueError):
         y_basis((1, 2, 3))
+
+
+#: Frame rows of the chart e1, e2, e3, (1,1,1), (1,a,b), (1,c,d).
+FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+
+
+def raw(rows):
+    """Representative rows that ``Config6`` would reject (repeated or
+    collinear points are allowed); brackets and ``coble_vector`` only
+    read ``reps``."""
+    return SimpleNamespace(reps=tuple(rows))
+
+
+def chart_grid(values):
+    for a, b, c, d in product(values, repeat=4):
+        yield (a, b, c, d), raw(FRAME + ((1, a, b), (1, c, d)))
+
+
+def test_relation_variant_is_proved_on_the_chart_grid():
+    """The residual R(x(c)) is a relative invariant: it scales by
+    det(g)^8 prod(t_i^4) under coordinate changes and row rescalings,
+    so it vanishes identically iff it vanishes on the frame chart.
+    There x0..x4 have degree <= 1 and x5 degree <= 2 in each of a, b,
+    c, d, so R has degree <= 4 in each, and vanishing on {0..4}^4
+    proves it zero (Combinatorial Nullstellensatz)."""
+    nonzero = []
+    for point, rows in chart_grid(range(5)):
+        v = coble_vector(rows)
+        assert relation_residual(v, "plus") == 0
+        if relation_residual(v, "minus") != 0:
+            nonzero.append(point)
+    assert CERTIFIED_RELATION_VARIANT == "plus"
+    assert len(nonzero) == 294
+    # A named witness that the rejected variant is not an identity.
+    witness = coble_vector(raw(FRAME + ((1, 1, 0), (1, 0, 0))))
+    assert relation_residual(witness, "minus") == -8
+
+
+def test_partition_products_are_linear_in_the_generators():
+    """Each side of D_T D_T' = row . (x0..x4) is linear in every
+    representative row, so checking all 3^6 tuples of coordinate basis
+    vectors proves the identity."""
+    assert len(_PARTITION_PRODUCTS) == 10
+    assert all(t[0] == 1 for t in _PARTITION_PRODUCTS)
+    for k, triple in enumerate(GENERATOR_PARTITIONS):
+        assert _PARTITION_PRODUCTS[triple] == tuple(int(i == k) for i in range(5))
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for rows in product(basis, repeat=6):
+        c = raw(rows)
+        x = coble_vector(c).degree_one
+        for triple, row in _PARTITION_PRODUCTS.items():
+            other = tuple(i for i in range(1, 7) if i not in triple)
+            product_value = bracket(c, triple) * bracket(c, other)
+            assert product_value == sum(a * xi for a, xi in zip(row, x)), (triple, rows)
+
+
+def veronese_determinant(rows):
+    """det of the 6x6 matrix with columns x^2, y^2, z^2, xy, xz, yz."""
+    return determinant(Matrix([(x * x, y * y, z * z, x * y, x * z, y * z) for x, y, z in rows]))
+
+
+def test_x5_is_minus_the_veronese_determinant():
+    """x5 and det V both have degree 2 in every representative row and
+    both scale by det(g)^4 prod(t_i^2), so x5 + det V vanishes
+    identically iff it vanishes on the frame chart, where its degree in
+    each of a, b, c, d is at most 2: the 3^4 grid proves it.  Since a
+    relabelling permutes the rows of V, x5 changes by sign(sigma)."""
+    for _, rows in chart_grid(range(3)):
+        assert coble_vector(rows)[5] + veronese_determinant(rows.reps) == 0
+    assert coble_vector(REF6)[5] == -veronese_determinant(REF6.reps)
+
+
+@cache
+def interpolation_samples():
+    """Five configurations with independent degree-one vectors, then
+    three held-out ones, all with x5 != 0."""
+    rng = random.Random("doublesix-action-samples")
+    solve, vectors, verify = [], [], []
+    while len(verify) < 3:
+        c = random_general_config(rng, bound=9)
+        v = coble_vector(c)
+        if v[5] == 0:
+            continue
+        if len(solve) < 5:
+            candidate = vectors + [v.degree_one]
+            if rank(Matrix(candidate)) == len(candidate):
+                solve.append(c)
+                vectors.append(v.degree_one)
+            continue
+        verify.append(c)
+    return solve, verify
+
+
+def interpolated_action(sigma):
+    """Reference: solve for the matrix on sample configurations, then
+    check it and the x5 sign on held-out ones."""
+    solve, verify = interpolation_samples()
+    x_mat = Matrix([coble_vector(c).degree_one for c in solve]).transpose()
+    images = [coble_vector(c.relabel(sigma)) for c in solve]
+    m = Matrix([im.degree_one for im in images]).transpose() @ inverse(x_mat)
+    signs = {im[5] / coble_vector(c)[5] for c, im in zip(solve, images)}
+    for c in verify:
+        v, w = coble_vector(c), coble_vector(c.relabel(sigma))
+        assert m.apply(v.degree_one) == w.degree_one
+        signs.add(w[5] / v[5])
+    assert len(signs) == 1 and next(iter(signs)) in (1, -1)
+    return ActionRecord(sigma, m, int(next(iter(signs))))
+
+
+def test_action_matches_the_interpolation_reference():
+    rng = random.Random("coble-interpolation-reference")
+    perms = [representative_perm(name) for name, _ in CONJUGACY_REPRESENTATIVES]
+    perms += [Perm(tuple(rng.sample(range(6), 6))) for _ in range(30)]
+    for perm in perms:
+        record, reference = s6_action(perm), interpolated_action(perm)
+        assert record.matrix.rows == reference.matrix.rows, perm
+        assert record.sign == reference.sign, perm
+
+
+def test_action_transforms_generator_values_directly():
+    rng = random.Random("coble-direct-action")
+    configs = [REF6] + [random_general_config(rng, bound=9) for _ in range(3)]
+    for _ in range(20):
+        perm = Perm(tuple(rng.sample(range(6), 6)))
+        record = s6_action(perm)
+        for c in configs:
+            v, w = coble_vector(c), coble_vector(c.relabel(perm))
+            assert w.degree_one == record.matrix.apply(v.degree_one), perm
+            assert w[5] == record.sign * v[5], perm
 
 
 def test_certified_variant_vanishes_on_random_configurations():
