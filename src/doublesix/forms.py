@@ -202,11 +202,15 @@ class TernaryForm:
 
     @classmethod
     def from_json(cls, records: Iterable) -> "TernaryForm":
-        terms = [((i, j, k), Fraction(str(c))) for i, j, k, c in records]
-        for mono, _ in terms:
+        terms = []
+        for record in records:
+            if not isinstance(record, (list, tuple)) or len(record) != 4:
+                raise ValueError(f"each term is [i, j, k, coefficient], got {record!r}")
+            *mono, c = record
             # bool is an int subclass; a float or a string is no exponent either.
             if any(type(e) is not int for e in mono):
-                raise ValueError(f"exponents must be integers, got {list(mono)}")
+                raise ValueError(f"exponents must be integers, got {mono}")
+            terms.append((tuple(mono), Fraction(str(c))))
         if not terms:
             raise ValueError("cannot infer the degree of an empty form")
         degree = sum(terms[0][0])

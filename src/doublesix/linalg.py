@@ -22,6 +22,8 @@ def rat(x) -> Fraction:
         return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass int, str or Fraction")
+    if isinstance(x, bool):  # an int subclass: JSON true would read as 1
+        raise TypeError("booleans are not numbers; pass int, str or Fraction")
     return Fraction(x)
 
 

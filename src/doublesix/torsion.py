@@ -25,19 +25,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import lcm
+from operator import mul
 from typing import Sequence, Union
 
 from . import _modp
 from ._poly import pdiv_exact, pgcd, pprimitive, ptrim
 from .association import exceptional_conics
-from .forms import DegenerateEliminationError, TernaryForm, resultant_eliminate
+from .forms import (
+    DegenerateEliminationError,
+    TernaryForm,
+    monomials_of_degree,
+    resultant_eliminate,
+)
 from .linalg import Matrix, Rational, determinant, inverse, kernel_basis, rat
 from .plane import (
     Config6,
-    chart_quadratic_part,
     is_general_position,
     linear_system,
+    multiplicity_rows,
     tangent_cone,
 )
 
@@ -319,28 +326,111 @@ def _conic_restriction(form: TernaryForm, chart: ConicChart) -> tuple[Fraction, 
     return (q[0], q[1], q[2])
 
 
+def _scaled_integers(vec: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers n and a positive denominator d with vec = n / d."""
+    d = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (d // x.denominator) for x in vec], d
+
+
+def _binary_at(form: Sequence[Rational], k: int) -> Rational:
+    """Value of a binary form (entry i: coefficient of u^i v^(d-i)) at (1 : k)."""
+    value = 0
+    for c in form:
+        value = value * k + c
+    return value
+
+
+def _parameter_points(forced: Sequence[Rational]) -> list[int]:
+    """The first three k in 0..12 with forced(1 : k) != 0.
+
+    ``forced`` is a nonzero binary form of degree 10, so at most ten of
+    the thirteen points (1 : k) are its roots.
+    """
+    return list(islice((k for k in range(13) if _binary_at(forced, k) != 0), 3))
+
+
+def _matching_vectors(
+    sextic: NodalSextic, side: str, basis: Sequence[TernaryForm]
+) -> list[tuple[list[list[Fraction]], Sequence[Rational]]]:
+    """Per node or conic chart: the vector of each basis member, and the
+    candidate's vector (see :func:`torsion_rank`)."""
+    config = sextic.config
+    # Per site: a table of (integer row, divisor) pairs, one per entry, and
+    # the candidate's vector.  A basis member's entry is its integer
+    # coefficients dotted with the row, over their denominator and the divisor.
+    sites = []
+    if side == "E":
+        for p, cone in zip(config.points, sextic.cones):
+            # Rows (2, 0), (1, 1), (0, 2): the columns of chart_quadratic_part.
+            sites.append((list(map(_scaled_integers, multiplicity_rows(6, p, 3)[3:])), cone))
+    else:
+        monos = monomials_of_degree(6)
+        conics = exceptional_conics(config)
+        for i in range(6):
+            chart = conic_chart(config, conics[i], i)
+            forced, fden = _scaled_integers(chart.forced)
+            theta, tden = _scaled_integers([c for comp in chart.theta for c in comp])
+            ks = _parameter_points(forced)
+            table = []
+            for k in ks:
+                # g(x, y, z) / tden^6 = g(theta(t)) = forced(t) q_g(t).
+                x, y, z = (_binary_at(theta[m : m + 3], k) for m in (0, 3, 6))
+                values = [x**a * y**b * z**c for a, b, c in monos]
+                table.append((values, Fraction(_binary_at(forced, k) * tden**6, fden)))
+            q = _conic_restriction(sextic.form, chart)
+            sites.append((table, [_binary_at(q, k) for k in ks]))
+    coeffs = [_scaled_integers(g.coefficient_vector()) for g in basis]
+    out = []
+    for table, reference in sites:
+        vectors = [
+            [
+                Fraction(sum(map(mul, ints, vec)) * div.denominator, den * div.numerator)
+                for ints, div in table
+            ]
+            for vec, den in coeffs
+        ]
+        out.append((vectors, reference))
+    return out
+
+
 def torsion_rank(sextic: NodalSextic, side: str) -> TorsionRank:
     """Dimension of the space of nodal sextics matching ``sextic`` locally.
 
     Side ``"E"`` matches tangent cones at the six nodes; side ``"F"``
     matches restrictions to the six exceptional conics.  Both sides must
     agree, and dimension two signals nontrivial three-torsion.
+
+    Each site, a node or a conic chart, maps a basis member g of the
+    nodal system to a vector in Q^3; the conditions ask a combination of
+    these vectors to be proportional to the candidate's vector.  The
+    vectors are evaluated on integers, never expanded:
+
+    * at a node p, g's chart quadric is g's coefficient vector dotted with
+      the (2, 0), (1, 1) and (0, 2) Taylor rows of
+      ``multiplicity_rows(6, p, 3)``, one integer table per node;
+    * on a conic chart, g(theta) = forced * q_g as binary forms, so the
+      vector (q_g(t_1), q_g(t_2), q_g(t_3)) is g at the integer-scaled
+      points theta(t_j) over forced(t_j), at three parameter points where
+      ``forced`` does not vanish.  The candidate's quadric still comes
+      from the exact composition and division of ``_conic_restriction``,
+      evaluated at the same points, so a form that does not vanish
+      doubly at the conic's configuration points raises
+      ``ArithmeticError``.
+
+    For distinct t_j, q -> (q(t_1), q(t_2), q(t_3)) is invertible on
+    binary quadrics.  Applied to every vector and to the reference, it
+    keeps the set of combinations proportional to the reference, so the
+    kernel of the conditions is that of the quadric coefficients.  Its
+    annihilator, the row space, is the same too; the reduced echelon
+    form is unique, so ``kernel_basis`` returns the same vectors and the
+    basis below the same canonical forms.
     """
     if side not in ("E", "F"):
         raise ValueError("side must be 'E' or 'F'")
     system = linear_system(6, [(p, 2) for p in sextic.config.points])
     rows: list[list[Rational]] = []
-    if side == "E":
-        for i, p in enumerate(sextic.config.points):
-            vectors = [chart_quadratic_part(g, p) for g in system.basis]
-            rows.extend(_proportionality_rows(vectors, sextic.cones[i]))
-    else:
-        conics = exceptional_conics(sextic.config)
-        for i in range(6):
-            chart = conic_chart(sextic.config, conics[i], i)
-            vectors = [_conic_restriction(g, chart) for g in system.basis]
-            reference = _conic_restriction(sextic.form, chart)
-            rows.extend(_proportionality_rows(vectors, reference))
+    for vectors, reference in _matching_vectors(sextic, side, system.basis):
+        rows.extend(_proportionality_rows(vectors, reference))
     kernel = kernel_basis(Matrix(rows))
     basis = []
     for vec in kernel:

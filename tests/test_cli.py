@@ -92,9 +92,11 @@ VALID_ROWS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]
         VALID_ROWS + [["1", None, "3"]],
         VALID_ROWS + [["1/0", "2", "3"]],
         VALID_ROWS + [["2", "5"]],
+        VALID_ROWS + [[2, 5, True]],
         VALID_ROWS,
     ],
-    ids=["float-row", "letter", "null-row", "null-entry", "zero-denominator", "two-entries", "five-points"],
+    ids=["float-row", "letter", "null-row", "null-entry", "zero-denominator", "two-entries",
+         "bool-entry", "five-points"],
 )
 def test_hostile_configurations_exit_two(tmp_path, capsys, points):
     path = tmp_path / "hostile.json"
@@ -223,6 +225,14 @@ def test_hostile_forms_exit_two(tmp_path, capsys, payload):
     assert out == ""
     assert err.startswith("error: invalid form")
     assert "Traceback" not in err
+
+
+def test_short_form_term_names_the_term_shape(tmp_path, capsys):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps([[6, "1"]]))
+    code, _, err = run(capsys, ["torsion", "--form", str(path)])
+    assert code == 2
+    assert "each term is [i, j, k, coefficient], got [6, '1']" in err
 
 
 def test_torsion_form_and_pencil_flags_conflict(capsys):

@@ -171,6 +171,12 @@ def test_json_rejects_exponents_that_are_not_integers(records):
         TernaryForm.from_json(records)
 
 
+@pytest.mark.parametrize("records", [[[6, "1"]], [[6, 0, 0, "1", "2"]], ["6001"]])
+def test_json_names_the_shape_of_a_term(records):
+    with pytest.raises(ValueError, match=r"each term is \[i, j, k, coefficient\]"):
+        TernaryForm.from_json(records)
+
+
 def test_resultant_small_known_case():
     # Res_x of (x - y) and (x - z) is z - y up to sign: root x = y forces y = z.
     f = X - Y

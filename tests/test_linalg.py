@@ -93,6 +93,9 @@ def test_rat_coercion():
     assert rat(Fraction(1, 2)) == Fraction(1, 2)
     with pytest.raises(TypeError):
         rat(0.5)
+    # bool is an int subclass, so a JSON true would otherwise read as 1.
+    with pytest.raises(TypeError):
+        rat(True)
 
 
 def test_constructor_rejects_ragged_and_empty():

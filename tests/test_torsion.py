@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from doublesix import _modp, torsion
+from doublesix import _modp, plane, torsion
 from doublesix._poly import pdiv_exact, peval, pgcd, pmul, pprimitive, ptrim
 from doublesix.association import exceptional_conics
 from doublesix.forms import TernaryForm, resultant_eliminate
-from doublesix.linalg import Matrix, determinant, inverse, rank
+from doublesix.linalg import Matrix, determinant, inverse, kernel_basis, rank
 from doublesix.plane import (
     REF6,
     Config6,
@@ -712,6 +712,152 @@ def test_conic_restriction_rejects_a_form_off_the_forced_divisor():
         for form in (definite, simple):
             with pytest.raises(ArithmeticError):
                 _conic_restriction(form, chart)
+
+
+# Reference for the row construction of ``torsion_rank``: each basis member's
+# chart quadric by ``chart_quadratic_part`` at every node, and each basis
+# member composed with the conic chart and divided exactly by the forced
+# divisor on every conic.
+
+
+def reference_torsion_rank(sextic, side):
+    system = linear_system(6, [(p, 2) for p in sextic.config.points])
+    rows = []
+    if side == "E":
+        for i, p in enumerate(sextic.config.points):
+            vectors = [chart_quadratic_part(g, p) for g in system.basis]
+            rows.extend(torsion._proportionality_rows(vectors, sextic.cones[i]))
+    else:
+        conics = exceptional_conics(sextic.config)
+        for i in range(6):
+            chart = conic_chart(sextic.config, conics[i], i)
+            vectors = [_conic_restriction(g, chart) for g in system.basis]
+            reference = _conic_restriction(sextic.form, chart)
+            rows.extend(torsion._proportionality_rows(vectors, reference))
+    kernel = kernel_basis(Matrix(rows))
+    basis = []
+    for vec in kernel:
+        g = TernaryForm.zero(6)
+        for coeff, member in zip(vec, system.basis):
+            if coeff != 0:
+                g = g + member.scale(coeff)
+        basis.append(g.canonical())
+    return len(kernel), tuple(basis)
+
+
+def rank_configs():
+    rng = random.Random("torsion-rank-configs")
+    seeded = [random_general_config(rng) for _ in range(6)]
+    wide = [random_general_config(rng, bound=2**60) for _ in range(2)]
+    return [REF6] + seeded + wide
+
+
+@pytest.fixture(scope="module")
+def rank_cases():
+    """Nodal sextics, one list per configuration: pencil member (1 : 1) on
+    each, then member (1 : 2) and a random nodal sextic on REF6 and the
+    seeded configurations (a rank on 60-bit coordinates takes seconds)."""
+    rng = random.Random("torsion-rank-forms")
+    cases = []
+    for config in rank_configs():
+        pencil = conic_product_pencil(config)
+        forms = [pencil.member(1, 1)]
+        if len(cases) < 7:
+            forms += [pencil.member(1, 2), random_nodal_sextic(config, rng)]
+        profiles = [node_profile(config, form) for form in forms]
+        assert all(profile.ok for profile in profiles)
+        cases.append(profiles)
+    return cases
+
+
+def test_torsion_rank_matches_the_composition_reference(rank_cases):
+    dimensions = set()
+    for profile in (profile for profiles in rank_cases for profile in profiles):
+        for side in ("E", "F"):
+            got = torsion_rank(profile, side)
+            assert (got.dimension, got.basis) == reference_torsion_rank(profile, side)
+            dimensions.add(got.dimension)
+    assert dimensions == {1, 2}
+
+
+def binary_value(form, k):
+    """form(1, k) for a binary form whose entry i multiplies u^i v^(d - i)."""
+    d = len(form) - 1
+    return sum(c * k ** (d - i) for i, c in enumerate(form))
+
+
+def test_conic_vectors_are_the_restrictions_at_the_parameter_points(rank_cases):
+    for profile, *_ in rank_cases:
+        config = profile.config
+        basis = linear_system(6, [(p, 2) for p in config.points]).basis
+        sites = torsion._matching_vectors(profile, "F", basis)
+        for i, conic in enumerate(exceptional_conics(config)):
+            chart = conic_chart(config, conic, i)
+            ks = torsion._parameter_points(chart.forced)
+            vectors, reference = sites[i]
+            for g, vector in zip(basis, vectors):
+                q = _conic_restriction(g, chart)
+                assert vector == [binary_value(q, k) for k in ks]
+            q = _conic_restriction(profile.form, chart)
+            assert list(reference) == [binary_value(q, k) for k in ks]
+
+
+def test_node_vectors_are_the_chart_quadrics(rank_cases):
+    for profile, *_ in rank_cases:
+        config = profile.config
+        basis = linear_system(6, [(p, 2) for p in config.points]).basis
+        sites = torsion._matching_vectors(profile, "E", basis)
+        for p, cone, (vectors, reference) in zip(config.points, profile.cones, sites):
+            assert vectors == [list(chart_quadratic_part(g, p)) for g in basis]
+            assert reference == cone == chart_quadratic_part(profile.form, p)
+
+
+def test_parameter_points_avoid_the_roots_of_the_forced_divisor():
+    skipped = 0
+    for config in rank_configs():
+        for i, conic in enumerate(exceptional_conics(config)):
+            forced = conic_chart(config, conic, i).forced
+            ks = torsion._parameter_points(forced)
+            assert len(set(ks)) == 3
+            assert all(binary_value(forced, k) != 0 for k in ks)
+            # The first three points of (1 : 0), (1 : 1), ... off the divisor.
+            roots = [k for k in range(max(ks)) if binary_value(forced, k) == 0]
+            assert sorted(ks + roots) == list(range(max(ks) + 1))
+            skipped += len(roots)
+    # On REF6, forced vanishes at (1 : 0) and (1 : 1) on conics 5 and 6.
+    assert skipped >= 4
+
+
+def test_torsion_rank_composes_only_the_candidate(monkeypatch):
+    calls = {"restriction": 0, "chart quadric": 0}
+    restriction = torsion._conic_restriction
+
+    def counted_restriction(form, chart):
+        calls["restriction"] += 1
+        return restriction(form, chart)
+
+    def counted_chart_quadric(form, p):
+        calls["chart quadric"] += 1
+        return chart_quadratic_part(form, p)
+
+    monkeypatch.setattr(torsion, "_conic_restriction", counted_restriction)
+    monkeypatch.setattr(plane, "chart_quadratic_part", counted_chart_quadric)
+    monkeypatch.setattr(torsion, "chart_quadratic_part", counted_chart_quadric, raising=False)
+    profile = node_profile(REF6, conic_product_pencil(REF6).member(1, 1))
+    torsion_rank(profile, "F")
+    assert calls == {"restriction": 6, "chart quadric": 0}
+    torsion_rank(profile, "E")
+    assert calls == {"restriction": 6, "chart quadric": 0}
+
+
+def test_torsion_rank_rejects_a_hand_built_sextic_off_the_forced_divisor():
+    x, y, z = (TernaryForm.variable(i) for i in range(3))
+    # Vanishes at no real point, so at no configuration point.
+    definite = (x * x + y * y + z * z) * (x * x + 2 * y * y + 3 * z * z)
+    definite = definite * (x * x + y * y + 5 * z * z)
+    cones = node_profile(REF6, conic_product_pencil(REF6).member(1, 1)).cones
+    with pytest.raises(ArithmeticError):
+        torsion_rank(NodalSextic(REF6, definite, cones), "F")
 
 
 # Reference for ``_modp_resultant_x``, which reduces the forms mod p and
