@@ -90,6 +90,8 @@ def _load_config(path: str | None) -> Config6:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"invalid configuration in {path}: not UTF-8: {exc}") from exc
     try:
         return Config6.from_json(payload)
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
@@ -104,6 +106,8 @@ def _load_form(path: str) -> TernaryForm:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid form in {path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"invalid form in {path}: not UTF-8: {exc}") from exc
     try:
         return TernaryForm.from_json(payload)
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:

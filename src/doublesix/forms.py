@@ -210,7 +210,8 @@ class TernaryForm:
             # bool is an int subclass; a float or a string is no exponent either.
             if any(type(e) is not int for e in mono):
                 raise ValueError(f"exponents must be integers, got {mono}")
-            terms.append((tuple(mono), Fraction(str(c))))
+            # rat refuses an exponent in a string; a JSON float is bounded.
+            terms.append((tuple(mono), rat(c) if isinstance(c, str) else Fraction(str(c))))
         if not terms:
             raise ValueError("cannot infer the degree of an empty form")
         degree = sum(terms[0][0])

@@ -24,6 +24,9 @@ def rat(x) -> Fraction:
         raise TypeError("floats are not exact; pass int, str or Fraction")
     if isinstance(x, bool):  # an int subclass: JSON true would read as 1
         raise TypeError("booleans are not numbers; pass int, str or Fraction")
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        # Fraction("1e999999999") would build 10**999999999 first.
+        raise ValueError(f"number strings take no exponent, got {x!r}")
     return Fraction(x)
 
 

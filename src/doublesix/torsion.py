@@ -42,9 +42,9 @@ from .forms import (
 from .linalg import Matrix, Rational, determinant, inverse, kernel_basis, rat
 from .plane import (
     Config6,
+    _chart_columns,
     is_general_position,
     linear_system,
-    multiplicity_rows,
     tangent_cone,
 )
 
@@ -359,12 +359,13 @@ def _matching_vectors(
     # the candidate's vector.  A basis member's entry is its integer
     # coefficients dotted with the row, over their denominator and the divisor.
     sites = []
+    monos = monomials_of_degree(6)
     if side == "E":
         for p, cone in zip(config.points, sextic.cones):
-            # Rows (2, 0), (1, 1), (0, 2): the columns of chart_quadratic_part.
-            sites.append((list(map(_scaled_integers, multiplicity_rows(6, p, 3)[3:])), cone))
+            # The Taylor rows read by chart_quadratic_part, and no others.
+            rows = _chart_columns(monos, p, ((2, 0), (1, 1), (0, 2)))
+            sites.append((list(map(_scaled_integers, rows)), cone))
     else:
-        monos = monomials_of_degree(6)
         conics = exceptional_conics(config)
         for i in range(6):
             chart = conic_chart(config, conics[i], i)
@@ -406,8 +407,9 @@ def torsion_rank(sextic: NodalSextic, side: str) -> TorsionRank:
     vectors are evaluated on integers, never expanded:
 
     * at a node p, g's chart quadric is g's coefficient vector dotted with
-      the (2, 0), (1, 1) and (0, 2) Taylor rows of
-      ``multiplicity_rows(6, p, 3)``, one integer table per node;
+      the (2, 0), (1, 1) and (0, 2) Taylor rows of the chart at p (the
+      rows of ``multiplicity_rows`` of that order), one integer table per
+      node;
     * on a conic chart, g(theta) = forced * q_g as binary forms, so the
       vector (q_g(t_1), q_g(t_2), q_g(t_3)) is g at the integer-scaled
       points theta(t_j) over forced(t_j), at three parameter points where
@@ -454,7 +456,7 @@ class SmoothnessVerdict:
     attempts: int
     detail: str
     node_orders: tuple[int, ...] | None = None  # gcd multiplicity per node
-    route: str | None = None  # "degree count", "mod p" or "exact"; None if not certified
+    route: str | None = None  # "degree count" or "exact"; None if not certified
 
     def describe(self) -> str:
         status = "smooth away from the nodes" if self.certified else "not certified"
@@ -525,41 +527,35 @@ def _node_factor_audit(
     b_poly: list[int],
     v_power: int,
     projections: list[tuple[Fraction, Fraction]],
-) -> tuple[tuple[int, ...] | None, str | None, str]:
+) -> tuple[tuple[int, ...] | None, str]:
     """Divide node-projection linears out of both eliminants, then audit the rest.
 
-    Returns (per-node orders, route, detail); the orders are None when the
-    common factor is not explained by the nodes, and ``detail`` says why.
-    A node's order is the smaller of its two counts, which is its
+    Returns (per-node orders, detail); the orders are None when the common
+    factor is not explained by the nodes, and ``detail`` says why.  A
+    node's order is the smaller of its two counts, which is its
     multiplicity in gcd(a, b).  Each finite node must divide both
     eliminants, only a node at z = 0 may absorb the common power of v, and
-    the cofactors must be coprime; ``route`` names how that was proved,
-    "mod p" or "exact".
+    an exact ``pgcd`` must find the cofactors coprime.
     """
     orders = []
     for y, z in projections:
         if z == 0:
             if v_power < 1:
-                return None, None, "node projection missing from the common factor"
+                return None, "node projection missing from the common factor"
             orders.append(v_power)
             v_power = 0
             continue
         a_poly, count_a = _divide_out_root(a_poly, y / z)
         b_poly, count_b = _divide_out_root(b_poly, y / z)
         if min(count_a, count_b) < 1:
-            return None, None, "node projection missing from the common factor"
+            return None, "node projection missing from the common factor"
         orders.append(min(count_a, count_b))
     if v_power > 0:
-        return None, None, "unexplained common root at infinity"
-    for p in _modp.SCREEN_PRIMES:
-        if a_poly[-1] % p and b_poly[-1] % p:
-            if len(_modp.gcd_mod(a_poly, b_poly, p)) == 1:
-                return tuple(orders), "mod p", ""
-            break
+        return None, "unexplained common root at infinity"
     degree = len(pgcd(a_poly, b_poly)) - 1
     if degree > 0:
-        return None, None, f"residual common factor of degree {degree}"
-    return tuple(orders), "exact", ""
+        return None, f"residual common factor of degree {degree}"
+    return tuple(orders), ""
 
 
 def _admissible_frames(form: TernaryForm, node_coords: list):
@@ -685,17 +681,9 @@ def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
     Any other outcome (a gcd of higher degree, no prime with a good and
     nonzero reduction, a node that is not singular) falls back to the
     exact eliminants in the same frame.  Their audit divides each node
-    projection out of both and proves the cofactors coprime modulo the
-    first prime p of ``_modp.SCREEN_PRIMES`` that divides neither leading
-    coefficient.  The cofactors a, b are integer polynomials (Gauss's
-    lemma keeps every exact division by a primitive node linear
-    integral), so their primitive gcd g over Z divides both in Z[u];
-    lc(g) divides lc(a), hence g mod p keeps its degree and divides
-    gcd(a mod p, b mod p).  A gcd of degree 0 mod p therefore proves
-    gcd(a, b) = 1 over Q (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, ch. 6); route "mod p".  Otherwise an exact ``pgcd``
-    decides; route "exact".  Both paths reach the same verdict, attempts
-    and node orders; only the route differs.
+    projection out of both and asks an exact ``pgcd`` whether the
+    cofactors are coprime; route "exact".  Both routes reach the same
+    verdict, attempts and node orders; only the route differs.
     """
     if form.degree != 6:
         raise ValueError("smoothness certification targets degree-six forms")
@@ -728,12 +716,13 @@ def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
             a_poly, a_v = _trailing_v_split(_binary_coefficients(elim_y))
             b_poly, b_v = _trailing_v_split(_binary_coefficients(elim_z))
             projections = [(q[1], q[2]) for q in moved_nodes]
-            orders, route, detail = _node_factor_audit(
+            orders, detail = _node_factor_audit(
                 pprimitive(a_poly), pprimitive(b_poly), min(a_v, b_v), projections
             )
             if orders is None:
                 last_detail = detail
                 continue
+            route = "exact"
         # Each node's vertical line may contain no second singular point.
         line_ok = True
         for q in moved_nodes:
@@ -758,65 +747,31 @@ def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
 # GF(p) screen for the smoothness check
 
 
-def _screen_frame(moved: TernaryForm, moved_nodes: list) -> bool | None:
-    """Node audit mod every screen prime for one coordinate frame."""
-    fx = moved.partial(0)
-    fy = moved.partial(1)
-    fz = moved.partial(2)
-    for p in _modp.SCREEN_PRIMES:
-        elim_y = _modp_resultant_x(fx, fy, p)
-        elim_z = _modp_resultant_x(fx, fz, p)
-        if elim_y is None or elim_z is None:
-            return None
-        a_poly, a_v = _trailing_v_split(elim_y)
-        b_poly, b_v = _trailing_v_split(elim_z)
-        if not a_poly or not b_poly:
-            return False
-        common = _modp.gcd_mod(a_poly, b_poly, p)
-        v_power = min(a_v, b_v)
-        ok = True
-        for q in moved_nodes:
-            ym = _modp.frac_mod(Fraction(q[1]), p)
-            zm = _modp.frac_mod(Fraction(q[2]), p)
-            if ym is None or zm is None:
-                return None
-            if zm == 0:
-                if ym == 0 or v_power < 1:
-                    ok = False
-                    break
-                v_power = 0
-                continue
-            root = ym * pow(zm, -1, p) % p
-            common, count = _modp.divide_out_root_mod(common, root, p)
-            if count < 1:
-                ok = False
-                break
-        if ok and (v_power > 0 or len(common) > 1):
-            ok = False
-        if not ok:
-            return False
-    return True
-
-
 def smooth_screen(form: TernaryForm, nodes: Sequence) -> bool | None:
-    """Fast mod-p screen for ``smooth_elsewhere``.
+    """Fast mod-p screen for ``smooth_elsewhere``: its degree count alone.
 
-    Returns True when some coordinate frame passes the node audit mod
-    every prime, False when two independent frames (or the only
-    admissible one) report a persistent extra factor, None when no frame
-    is conclusive.  Never a substitute for the exact check.
+    Returns False when a given node is not a singular point, True as soon
+    as the gcd of the two eliminants mod p has degree equal to the number
+    of nodes in some coordinate frame, False when two frames (or the only
+    conclusive one) read a higher degree, and None when no frame is
+    conclusive.  This is the degree count that ``smooth_elsewhere`` runs
+    first, without its check of the node lines, and a higher degree mod p
+    may come from the prime, so the hint never replaces the exact check.
     """
     if form.degree != 6:
         raise ValueError("smoothness screens target degree-six forms")
     node_coords = [getattr(p, "coords", p) for p in nodes]
+    if not _singular_at(form, node_coords):
+        return False
     alarms = 0
     for frame, _ in _admissible_frames(form, node_coords):
         if frame is None:
             continue
-        verdict = _screen_frame(*frame)
-        if verdict is True:
+        moved = frame[0]
+        degree = _modp_gcd_degree(moved.partial(0), moved.partial(1), moved.partial(2))
+        if degree == len(node_coords):
             return True
-        if verdict is False:
+        if degree is not None:
             alarms += 1
             if alarms >= 2:
                 return False
@@ -951,10 +906,12 @@ PENCIL_MEMBERS = 25
 def certify_pencil(config: Config6) -> TorsionCertificate:
     """Sweep the conic-product pencil until a member certifies.
 
-    Members (1 : k) for k = 1, 2, ... are screened cheaply and then
-    certified exactly; the first accepted member is returned.  A few
-    members can fail by coincidence (an extra singular point), so the
-    sweep continues past rejections up to ``PENCIL_MEMBERS``.
+    Members (1 : k) for k = 1, 2, ... with six ordinary nodes go through
+    ``smooth_screen``, the mod-p degree count, and a member it flags is
+    rejected without the exact certificate; the others are certified
+    exactly and the first accepted member is returned.  A few members can
+    fail by coincidence (an extra singular point), so the sweep continues
+    past rejections up to ``PENCIL_MEMBERS``.
     """
     verdict = is_general_position(config)
     if not verdict.ok:

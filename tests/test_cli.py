@@ -93,14 +93,18 @@ VALID_ROWS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]
         VALID_ROWS + [["1/0", "2", "3"]],
         VALID_ROWS + [["2", "5"]],
         VALID_ROWS + [[2, 5, True]],
+        VALID_ROWS + [["1e5", "2", "3"]],
         VALID_ROWS,
+        b"\xff\xfe" + json.dumps(COLLINEAR_PAYLOAD).encode(),
     ],
     ids=["float-row", "letter", "null-row", "null-entry", "zero-denominator", "two-entries",
-         "bool-entry", "five-points"],
+         "bool-entry", "exponent-string", "five-points", "not-utf-8"],
 )
 def test_hostile_configurations_exit_two(tmp_path, capsys, points):
     path = tmp_path / "hostile.json"
-    path.write_text(json.dumps({"points": points}))
+    # Bytes are the whole file; anything else is the "points" value.
+    payload = points if isinstance(points, bytes) else json.dumps({"points": points}).encode()
+    path.write_bytes(payload)
     code, out, err = run(capsys, ["check-position", "--input", str(path)])
     assert code == 2
     assert out == ""
@@ -212,14 +216,16 @@ def test_torsion_form_must_be_a_nonzero_sextic(tmp_path, capsys, records, messag
         json.dumps({"terms": [[6, 0, 0, "1"]]}),
         json.dumps([[6, 0, 0, "1/0"]]),
         json.dumps([[6, "1"]]),
+        json.dumps([[6, 0, 0, "2E3"]]),
         "[[6, 0, 0, ",
+        b"\xff\xfe[[6, 0, 0, 1]]",
     ],
     ids=["float-exponent", "bool-exponent", "half-exponent", "dict", "zero-denominator",
-         "two-entry-term", "not-json"],
+         "two-entry-term", "exponent-string", "not-json", "not-utf-8"],
 )
 def test_hostile_forms_exit_two(tmp_path, capsys, payload):
     path = tmp_path / "form.json"
-    path.write_text(payload)
+    path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
     code, out, err = run(capsys, ["torsion", "--form", str(path), "--json"])
     assert code == 2
     assert out == ""

@@ -171,6 +171,14 @@ def test_json_rejects_exponents_that_are_not_integers(records):
         TernaryForm.from_json(records)
 
 
+def test_json_refuses_an_exponent_in_a_coefficient_string():
+    # Fraction("1e999999999") would build 10**999999999 first.
+    with pytest.raises(ValueError, match="exponent"):
+        TernaryForm.from_json([[6, 0, 0, "1e999999999"]])
+    # A JSON float is bounded, so it still reads exactly.
+    assert TernaryForm.from_json([[6, 0, 0, 1e3]]) == TernaryForm(6, {(6, 0, 0): 1000})
+
+
 @pytest.mark.parametrize("records", [[[6, "1"]], [[6, 0, 0, "1", "2"]], ["6001"]])
 def test_json_names_the_shape_of_a_term(records):
     with pytest.raises(ValueError, match=r"each term is \[i, j, k, coefficient\]"):

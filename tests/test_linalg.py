@@ -96,6 +96,10 @@ def test_rat_coercion():
     # bool is an int subclass, so a JSON true would otherwise read as 1.
     with pytest.raises(TypeError):
         rat(True)
+    # Fraction would build 10**999999999 before returning.
+    for text in ("1e999999999", "2E3", "1/1e5"):
+        with pytest.raises(ValueError, match="exponent"):
+            rat(text)
 
 
 def test_constructor_rejects_ragged_and_empty():

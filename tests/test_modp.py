@@ -1,11 +1,10 @@
-"""GF(p) helpers of the smoothness screen against their rational counterparts."""
+"""GF(p) helpers of the smoothness degree count against their rational counterparts."""
 
 import random
 from fractions import Fraction
 
-from doublesix._modp import SCREEN_PRIMES, divide_out_root_mod, frac_mod, gcd_mod
+from doublesix._modp import SCREEN_PRIMES, frac_mod, gcd_mod
 from doublesix._poly import pgcd, pmul
-from doublesix.torsion import _divide_out_root
 
 
 def random_int_poly(rng, degree, bound=9):
@@ -43,25 +42,3 @@ def test_gcd_mod_is_the_rational_gcd_reduced_mod_p():
         assert gcd_mod([], [], p) == []
         assert gcd_mod([], [6, 3], p) == [2, 1]
     assert 0 in degrees and max(degrees) >= 3
-
-
-def test_divide_out_root_mod_is_the_rational_division_reduced_mod_p():
-    rng = random.Random("modp-root")
-    counts = set()
-    for p in SCREEN_PRIMES:
-        for _ in range(12):
-            num, den = rng.randint(-9, 9), rng.randint(1, 9)
-            poly = random_int_poly(rng, rng.randint(0, 4))
-            for _ in range(rng.randint(0, 3)):
-                poly = pmul(poly, [-num, den])  # den * u - num vanishes at num / den
-            root = Fraction(num, den)
-            quotient, count = _divide_out_root(poly, root)
-            assert all(isinstance(c, int) for c in quotient)
-            got, got_count = divide_out_root_mod(poly, frac_mod(root, p), p)
-            assert got_count == count
-            # u - root = (den*u - num) / den in lowest terms, so the mod-p
-            # quotient is den^count times the integer one.
-            scale = pow(root.denominator, count, p)
-            assert got == [c * scale % p for c in quotient]
-            counts.add(count)
-    assert {0, 1, 2, 3} <= counts

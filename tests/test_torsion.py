@@ -216,8 +216,8 @@ def test_smooth_elsewhere_rejects_a_reducible_candidate():
 
 
 # Reference for the node audit of ``smooth_elsewhere``, which divides the
-# node linears out of both eliminants over Z and proves the cofactors
-# coprime mod p: the exact gcd of the eliminants by ``pgcd``, with the
+# node linears out of both eliminants over Z and takes the exact ``pgcd``
+# of the cofactors: the exact gcd of the eliminants by ``pgcd``, with the
 # node roots then divided out of it by synthetic division over Q.
 
 
@@ -241,19 +241,19 @@ def reference_node_factor_audit(a_poly, b_poly, v_power, projections):
     for y, z in projections:
         if z == 0:
             if v_power < 1:
-                return None, None, "node projection missing from the common factor"
+                return None, "node projection missing from the common factor"
             orders.append(v_power)
             v_power = 0
             continue
         current, count = reference_divide_out_root(current, y / z)
         if count < 1:
-            return None, None, "node projection missing from the common factor"
+            return None, "node projection missing from the common factor"
         orders.append(count)
     if v_power > 0:
-        return None, None, "unexplained common root at infinity"
+        return None, "unexplained common root at infinity"
     if len(current) > 1:
-        return None, None, f"residual common factor of degree {len(current) - 1}"
-    return tuple(orders), "exact", ""
+        return None, f"residual common factor of degree {len(current) - 1}"
+    return tuple(orders), ""
 
 
 #: General position, and the second coordinate frame of its pencil member
@@ -294,9 +294,8 @@ def test_smooth_elsewhere_matches_the_pgcd_reference(monkeypatch):
     exact = [smooth_elsewhere(form, config.points) for config, form in cases]
     assert [verdict_key(v) for v in fast] == [verdict_key(v) for v in exact]
     assert fast[0].attempts == 4
-    # Every certified case took the mod-p route, so a fallback that always
-    # ran would fail here.
-    assert all(v.certified and v.route == "mod p" for v in fast[:-1])
+    # Every certified case took the exact route.
+    assert all(v.certified and v.route == "exact" for v in fast[:-1])
     assert fast[-1].detail.startswith("residual common factor of degree")
     assert fast[-1].route is None
 
@@ -345,7 +344,7 @@ def test_degree_count_matches_the_exact_eliminants(monkeypatch):
     for (verdict, seen), reference in zip(counted[:-1], exact):
         assert verdict.certified and verdict.route == "degree count"
         assert verdict.node_orders == (1,) * 6 and seen == [6]
-        assert reference.route == "mod p"
+        assert reference.route == "exact"
     assert counted[0][0].attempts == 4
     assert counted[-2][0].attempts == 2
     # The reducible candidate is singular at the 8 - 5 = 3 further points where
@@ -372,7 +371,7 @@ def test_degree_count_above_six_falls_back_to_the_exact_eliminants(monkeypatch, 
     verdict = smooth_elsewhere(form, REF6.points)
     assert degrees == [7]
     assert verdict_key(verdict) == (True, 4, "only the six nodes are singular", (1,) * 6)
-    assert verdict.route == "mod p"
+    assert verdict.route == "exact"
 
 
 @pytest.mark.parametrize("bad", [None, [0] * 26], ids=["bad-reduction", "zero-reduction"])
@@ -392,7 +391,7 @@ def test_degree_count_moves_to_the_next_prime(monkeypatch, bad, primes):
     monkeypatch.setattr(torsion, "_modp_resultant_x", failing)
     verdict = smooth_elsewhere(form, REF6.points)
     assert verdict_key(verdict) == (True, 4, "only the six nodes are singular", (1,) * 6)
-    assert verdict.route == ("degree count" if primes == 1 else "mod p")
+    assert verdict.route == ("degree count" if primes == 1 else "exact")
     assert set(seen) == set(_modp.SCREEN_PRIMES)
 
 
@@ -416,6 +415,7 @@ def test_degree_count_needs_every_node_to_be_singular(monkeypatch):
     assert torsion._modp_gcd_degree(*(moved.partial(v) for v in range(3))) == 6
     degrees = record_gcd_degrees(monkeypatch)
     verdict = smooth_elsewhere(form, fake_nodes)
+    assert smooth_screen(form, fake_nodes) is False
     assert degrees == []
     decline_degree_count(monkeypatch)
     assert verdict_key(verdict) == verdict_key(smooth_elsewhere(form, fake_nodes))
@@ -444,16 +444,14 @@ def test_node_audit_reads_a_node_at_z_zero_from_the_v_power():
     assert any(v_power >= 1 and any(z == 0 for _, z in projections)
                for _, _, v_power, projections in frames)
     for a_poly, b_poly, v_power, projections in frames:
-        orders, route, detail = _node_factor_audit(a_poly, b_poly, v_power, projections)
-        expected = reference_node_factor_audit(a_poly, b_poly, v_power, projections)
-        assert (orders, detail) == (expected[0], expected[2])
-        assert route == ("mod p" if orders is not None else None)
+        orders, detail = _node_factor_audit(a_poly, b_poly, v_power, projections)
+        assert (orders, detail) == reference_node_factor_audit(a_poly, b_poly, v_power, projections)
     verdict = smooth_elsewhere(form, Z0_CONFIG.points)
     assert verdict.certified and verdict.attempts == 2 and verdict.route == "degree count"
 
 
 # Synthetic eliminant pairs: products of the node linears den*u - num and
-# chosen cofactors, audited by both routes.
+# chosen cofactors, audited by ``_node_factor_audit`` and the reference.
 NODE_ROOTS = [Fraction(1), Fraction(2), Fraction(-1, 3), Fraction(5, 2), Fraction(0), Fraction(-3, 4)]
 P1, P2 = _modp.SCREEN_PRIMES
 
@@ -470,18 +468,16 @@ def audit_both(a_poly, b_poly, v_power=0, projections=None):
     if projections is None:
         projections = [(r, Fraction(1)) for r in NODE_ROOTS]
     got = _node_factor_audit(a_poly, b_poly, v_power, projections)
-    expected = reference_node_factor_audit(a_poly, b_poly, v_power, projections)
-    assert (got[0], got[2]) == (expected[0], expected[2])
+    assert got == reference_node_factor_audit(a_poly, b_poly, v_power, projections)
     return got
 
 
 def test_node_audit_counts_node_orders_as_the_gcd_multiplicity():
     a_poly = pmul(node_product([2, 1, 3, 1, 1, 2]), [7, 0, 1])
     b_poly = pmul(node_product([1, 2, 3, 1, 4, 1]), [1, 1, 3])
-    assert audit_both(a_poly, b_poly) == ((1, 1, 3, 1, 1, 1), "mod p", "")
+    assert audit_both(a_poly, b_poly) == ((1, 1, 3, 1, 1, 1), "")
     missing = node_product([1, 1, 1, 1, 1, 0])
     assert audit_both(pmul(missing, [7, 0, 1]), node_product([1] * 6)) == (
-        None,
         None,
         "node projection missing from the common factor",
     )
@@ -490,43 +486,38 @@ def test_node_audit_counts_node_orders_as_the_gcd_multiplicity():
 def test_node_audit_declines_a_shared_non_node_factor():
     shared = [1, 0, 1]  # u^2 + 1, no node root
     a_rest, b_rest = pmul(shared, [7, 0, 1]), pmul(shared, [1, 1, 3])
-    # The cofactors keep the shared factor mod p, so the mod-p proof fails.
-    assert all(len(_modp.gcd_mod(a_rest, b_rest, p)) == 3 for p in (P1, P2))
     a_poly = pmul(node_product([1] * 6), a_rest)
     b_poly = pmul(node_product([1] * 6), b_rest)
-    assert audit_both(a_poly, b_poly) == (None, None, "residual common factor of degree 2")
+    assert audit_both(a_poly, b_poly) == (None, "residual common factor of degree 2")
 
 
 def test_node_audit_falls_back_when_both_primes_divide_the_leading_coefficient():
     nodes = node_product([1] * 6)
-    # Coprime cofactors: the exact route certifies.
+    # Coprime cofactors: the audit certifies.
     a_poly = pmul(nodes, [1, 1, P1 * P2])
     b_poly = pmul(nodes, [1, 3])
-    assert audit_both(a_poly, b_poly) == ((1,) * 6, "exact", "")
-    assert audit_both(b_poly, a_poly) == ((1,) * 6, "exact", "")
-    # Only the first prime divides: the second one proves coprimality.
-    assert audit_both(pmul(nodes, [1, 1, P1]), b_poly) == ((1,) * 6, "mod p", "")
-    # A shared factor P1*P2*u + 1 is a unit mod either prime, so the mod-p
-    # gcd has degree 0 although the cofactors are not coprime.
+    assert audit_both(a_poly, b_poly) == ((1,) * 6, "")
+    assert audit_both(b_poly, a_poly) == ((1,) * 6, "")
+    assert audit_both(pmul(nodes, [1, 1, P1]), b_poly) == ((1,) * 6, "")
+    # A shared factor P1*P2*u + 1 is a unit mod either prime, so a mod-p
+    # gcd has degree 0 although the cofactors are not coprime; pgcd sees it.
     a_rest, b_rest = pmul([1, P1 * P2], [2, 1]), pmul([1, P1 * P2], [1, 3])
     assert all(len(_modp.gcd_mod(a_rest, b_rest, p)) == 1 for p in (P1, P2))
     a_poly, b_poly = pmul(nodes, a_rest), pmul(nodes, b_rest)
-    assert audit_both(a_poly, b_poly) == (None, None, "residual common factor of degree 1")
+    assert audit_both(a_poly, b_poly) == (None, "residual common factor of degree 1")
 
 
 def test_node_audit_handles_a_node_at_z_zero():
     at_infinity = [(r, Fraction(1)) for r in NODE_ROOTS[:5]] + [(Fraction(3), Fraction(0))]
     a_poly = pmul(node_product([1, 1, 1, 1, 1, 0]), [7, 0, 1])
     b_poly = pmul(node_product([2, 1, 1, 1, 1, 0]), [1, 1, 3])
-    assert audit_both(a_poly, b_poly, 2, at_infinity) == ((1, 1, 1, 1, 1, 2), "mod p", "")
+    assert audit_both(a_poly, b_poly, 2, at_infinity) == ((1, 1, 1, 1, 1, 2), "")
     assert audit_both(a_poly, b_poly, 0, at_infinity) == (
-        None,
         None,
         "node projection missing from the common factor",
     )
     finite = [(r, Fraction(1)) for r in NODE_ROOTS[:5]]
     assert audit_both(a_poly, b_poly, 1, finite) == (
-        None,
         None,
         "unexplained common root at infinity",
     )
@@ -1006,4 +997,87 @@ def test_smooth_screen_hints_match_the_evaluation_reference(monkeypatch):
     hints = [smooth_screen(form, config.points) for config, form in candidates]
     monkeypatch.setattr(torsion, "_modp_resultant_x", reference_resultant_x)
     assert [smooth_screen(form, config.points) for config, form in candidates] == hints
+    assert hints[0] is False and hints.count(True) == len(hints) - 1
+
+
+# Reference for ``smooth_screen``: a node audit mod every screen prime.
+# Each frame reduces both eliminants, divides every node root out of their
+# gcd mod p and asks for nothing to remain.
+
+
+def reference_divide_out_root_mod(poly, root, p):
+    """Synthetic division by (u - root) mod p to exhaustion; (quotient, count)."""
+    count = 0
+    a = ptrim([x % p for x in poly])
+    while a:
+        acc = 0
+        for c in reversed(a):
+            acc = (acc * root + c) % p
+        if acc != 0:
+            break
+        out = [0] * (len(a) - 1)
+        carry = 0
+        for i in range(len(a) - 1, 0, -1):
+            carry = (a[i] + carry * root) % p
+            out[i - 1] = carry
+        a = ptrim(out)
+        count += 1
+    return a, count
+
+
+def reference_screen_frame(moved, moved_nodes):
+    fx, fy, fz = (moved.partial(v) for v in range(3))
+    for p in _modp.SCREEN_PRIMES:
+        elim_y = _modp_resultant_x(fx, fy, p)
+        elim_z = _modp_resultant_x(fx, fz, p)
+        if elim_y is None or elim_z is None:
+            return None
+        a_poly, a_v = _trailing_v_split(elim_y)
+        b_poly, b_v = _trailing_v_split(elim_z)
+        if not a_poly or not b_poly:
+            return False
+        common = _modp.gcd_mod(a_poly, b_poly, p)
+        v_power = min(a_v, b_v)
+        for q in moved_nodes:
+            ym = _modp.frac_mod(Fraction(q[1]), p)
+            zm = _modp.frac_mod(Fraction(q[2]), p)
+            if ym is None or zm is None:
+                return None
+            if zm == 0:
+                if ym == 0 or v_power < 1:
+                    return False
+                v_power = 0
+                continue
+            common, count = reference_divide_out_root_mod(common, ym * pow(zm, -1, p) % p, p)
+            if count < 1:
+                return False
+        if v_power > 0 or len(common) > 1:
+            return False
+    return True
+
+
+def reference_smooth_screen(form, nodes):
+    alarms = 0
+    for frame, _ in _admissible_frames(form, [q.coords for q in nodes]):
+        if frame is None:
+            continue
+        verdict = reference_screen_frame(*frame)
+        if verdict is True:
+            return True
+        if verdict is False:
+            alarms += 1
+            if alarms >= 2:
+                return False
+    return False if alarms else None
+
+
+def test_smooth_screen_matches_the_node_audit_reference():
+    rng = random.Random("screen-audit-differential")
+    cases = [(REF6, reducible_candidate())]
+    for config in [REF6] + [random_general_config(rng, bound=5) for _ in range(3)]:
+        pencil = conic_product_pencil(config)
+        cases += [(config, pencil.member(1, k).canonical()) for k in (1, 2)]
+        cases.append((config, random_nodal_sextic(config, rng)))
+    hints = [smooth_screen(form, config.points) for config, form in cases]
+    assert hints == [reference_smooth_screen(form, config.points) for config, form in cases]
     assert hints[0] is False and hints.count(True) == len(hints) - 1
