@@ -25,14 +25,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
 from math import lcm
 from operator import mul
 from typing import Sequence, Union
 
 from . import _modp
 from ._poly import pdiv_exact, pgcd, pprimitive, ptrim
-from .association import exceptional_conics
+from .association import exceptional_conics, sample_points_on_conic
 from .forms import (
     DegenerateEliminationError,
     TernaryForm,
@@ -150,246 +149,49 @@ def _proportionality_rows(
     return rows
 
 
-# Binary forms in (u, v) are full-length coefficient lists: entry i is the
-# coefficient of u^i v^(d-i), so the length always equals degree + 1.
-
-
-def _binary_mul(a: list, b: list) -> list:
-    """Product of binary forms with int or Fraction coefficients."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _binary_div_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Exact quotient of binary forms, preserving the degree convention.
-
-    The division runs over Z: both dehomogenized parts are replaced by
-    their primitive integer multiples, whose quotient is integral by
-    Gauss's lemma whenever it exists over Q, and the ratio of the two
-    contents scales it back.
-    """
-    deg = len(num) - len(den)
-    if deg < 0:
-        raise ArithmeticError("binary division with quotient of negative degree")
-    pn = ptrim(list(num))
-    pd = ptrim(list(den))
-    if not pd:
-        raise ZeroDivisionError("division of binary forms by zero")
-    if not pn:
-        return [_ZERO] * (deg + 1)
-    # Trailing zeros are powers of the second variable; split them off,
-    # divide the dehomogenized parts, and restore the degree.
-    vn = len(num) - len(pn)
-    vd = len(den) - len(pd)
-    if vn < vd:
-        raise ArithmeticError("binary division is not exact")
-    int_num, int_den = pprimitive(pn), pprimitive(pd)
-    scale = Fraction(pn[-1]) / int_num[-1] / (Fraction(pd[-1]) / int_den[-1])
-    q = [x * scale for x in pdiv_exact(int_num, int_den)]
-    return q + [_ZERO] * (deg + 1 - len(q))
-
-
-def _compose_binary(form: TernaryForm, theta: tuple[list[Fraction], ...]) -> list[Fraction]:
-    """Coefficients of form(theta_0, theta_1, theta_2) as a binary form.
-
-    The composition runs on integers: theta is scaled by the common
-    denominator D of its entries and the form by the common denominator
-    E of its coefficients, and the result is divided by E * D^degree.
-    """
-    d = lcm(*(x.denominator for comp in theta for x in comp))
-    int_theta = [[x.numerator * (d // x.denominator) for x in comp] for comp in theta]
-    terms = form.terms()
-    e = lcm(*(c.denominator for _, c in terms))
-    powers: list[list[list[int]]] = []
-    for comp in int_theta:
-        table = [[1]]
-        for _ in range(form.degree):
-            table.append(_binary_mul(table[-1], comp))
-        powers.append(table)
-    out = [0] * (2 * form.degree + 1)
-    for (i, j, k), c in terms:
-        piece = _binary_mul(_binary_mul(powers[0][i], powers[1][j]), powers[2][k])
-        scale = c.numerator * (e // c.denominator)
-        for t, val in enumerate(piece):
-            out[t] += scale * val
-    den = e * d**form.degree
-    return [Fraction(x, den) for x in out]
-
-
-def _det3(a: Sequence[Rational], b: Sequence[Rational], c: Sequence[Rational]) -> Rational:
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
-
-
-_DIRECTION_CATALOG = (
-    (Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(1)),
-    (Fraction(1), Fraction(1), Fraction(0)),
-    (Fraction(1), Fraction(0), Fraction(1)),
-    (Fraction(0), Fraction(1), Fraction(1)),
-    (Fraction(1), Fraction(1), Fraction(1)),
-    (Fraction(1), Fraction(2), Fraction(3)),
-    (Fraction(2), Fraction(1), Fraction(5)),
-)
-
-
-@dataclass(frozen=True)
-class ConicChart:
-    """Rational parametrization data for one exceptional conic.
-
-    ``theta`` maps a parameter point (u : v) to the conic; ``forced``
-    is the squared product of the parameter values of the five
-    configuration points lying on the conic, the factor every matching
-    sextic restriction must contain.
-    """
-
-    conic_index: int  # 0-based index of the omitted configuration point
-    base_index: int  # 0-based index of the configuration point used as base
-    theta: tuple[list[Fraction], list[Fraction], list[Fraction]]
-    forced: list[Fraction]
-
-
-def conic_chart(config: Config6, conic: TernaryForm, conic_index: int) -> ConicChart:
-    """Build a parametrization of an exceptional conic through a config point.
-
-    The base point is the first configuration point on the conic.  A line
-    through the base with direction d(u, v) = u r1 + v r2 meets the conic
-    again at theta(u, v); the five configuration points on the conic then
-    sit at explicit parameter values, giving the forced vanishing divisor.
-    """
-    if conic.degree != 2:
-        raise ValueError("conic chart requires a degree-two form")
-    base_index = next(
-        j for j in range(6) if j != conic_index and conic.eval(config.points[j].coords) == 0
-    )
-    base = config.points[base_index].coords
-    chart = None
-    for a in range(len(_DIRECTION_CATALOG)):
-        for b in range(a + 1, len(_DIRECTION_CATALOG)):
-            r1, r2 = _DIRECTION_CATALOG[a], _DIRECTION_CATALOG[b]
-            if _det3(base, r1, r2) == 0:
-                continue
-            # Secant coefficients along d = u r1 + v r2: the residual
-            # intersection of the line through base is
-            #   theta = c2 base - c1 d,
-            # with c2 = conic(d) and c1 the polar pairing of base with d.
-            f_r1 = conic.eval(r1)
-            f_r2 = conic.eval(r2)
-            mid = conic.eval(tuple(x + y for x, y in zip(r1, r2))) - f_r1 - f_r2
-            c2 = [f_r2, mid, f_r1]
-            c1 = [
-                conic.eval(tuple(x + y for x, y in zip(base, r2))) - f_r2,
-                conic.eval(tuple(x + y for x, y in zip(base, r1))) - f_r1,
-            ]
-            if all(x == 0 for x in c1):
-                continue  # base is the vertex of this secant family
-            theta = []
-            for m in range(3):
-                d_m = [r2[m], r1[m]]
-                prod = _binary_mul(c1, d_m)
-                theta.append([c2[t] * base[m] - prod[t] for t in range(3)])
-            chart = ConicChart(conic_index, base_index, tuple(theta), [])
-            break
-        if chart is not None:
-            break
-    if chart is None:
-        raise ValueError("no admissible secant frame for the conic")
-
-    forced = [Fraction(1)]
-    for k in range(6):
-        if k == conic_index:
-            continue
-        if k == base_index:
-            param = c1
-        else:
-            xk = config.points[k].coords
-            param = [_det3(base, xk, r2), _det3(base, xk, r1)]
-        if all(x == 0 for x in param):
-            raise ValueError("degenerate parameter for a configuration point")
-        forced = _binary_mul(forced, _binary_mul(param, param))
-    return ConicChart(conic_index, base_index, chart.theta, forced)
-
-
-def _conic_restriction(form: TernaryForm, chart: ConicChart) -> tuple[Fraction, Fraction, Fraction]:
-    """Quotient of the conic restriction by the forced divisor, a binary quadric."""
-    composed = _compose_binary(form, chart.theta)
-    q = _binary_div_exact(composed, chart.forced)
-    return (q[0], q[1], q[2])
-
-
 def _scaled_integers(vec: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers n and a positive denominator d with vec = n / d."""
     d = lcm(*(x.denominator for x in vec))
     return [x.numerator * (d // x.denominator) for x in vec], d
 
 
-def _binary_at(form: Sequence[Rational], k: int) -> Rational:
-    """Value of a binary form (entry i: coefficient of u^i v^(d-i)) at (1 : k)."""
-    value = 0
-    for c in form:
-        value = value * k + c
-    return value
-
-
-def _parameter_points(forced: Sequence[Rational]) -> list[int]:
-    """The first three k in 0..12 with forced(1 : k) != 0.
-
-    ``forced`` is a nonzero binary form of degree 10, so at most ten of
-    the thirteen points (1 : k) are its roots.
-    """
-    return list(islice((k for k in range(13) if _binary_at(forced, k) != 0), 3))
-
-
 def _matching_vectors(
     sextic: NodalSextic, side: str, basis: Sequence[TernaryForm]
-) -> list[tuple[list[list[Fraction]], Sequence[Rational]]]:
-    """Per node or conic chart: the vector of each basis member, and the
+) -> list[tuple[list[list[Fraction]], list[Fraction]]]:
+    """Per node or conic: the vector of each basis member, and the
     candidate's vector (see :func:`torsion_rank`)."""
     config = sextic.config
-    # Per site: a table of (integer row, divisor) pairs, one per entry, and
-    # the candidate's vector.  A basis member's entry is its integer
-    # coefficients dotted with the row, over their denominator and the divisor.
-    sites = []
+    # Per site: a table of (integer row, divisor) pairs, one per entry.  A
+    # form's entry is its integer coefficients dotted with the row, over
+    # their denominator and the divisor.
+    tables = []
     monos = monomials_of_degree(6)
     if side == "E":
-        for p, cone in zip(config.points, sextic.cones):
+        for p in config.points:
             # The Taylor rows read by chart_quadratic_part, and no others.
             rows = _chart_columns(monos, p, ((2, 0), (1, 1), (0, 2)))
-            sites.append((list(map(_scaled_integers, rows)), cone))
+            tables.append(list(map(_scaled_integers, rows)))
     else:
-        conics = exceptional_conics(config)
-        for i in range(6):
-            chart = conic_chart(config, conics[i], i)
-            forced, fden = _scaled_integers(chart.forced)
-            theta, tden = _scaled_integers([c for comp in chart.theta for c in comp])
-            ks = _parameter_points(forced)
+        if not _singular_at(sextic.form, config.points):
+            raise ArithmeticError("the candidate is not singular at every configuration point")
+        for i, conic in enumerate(exceptional_conics(config)):
+            hessian = [[conic.partial(a).partial(b).coefficient((0, 0, 0)) for b in range(3)]
+                       for a in range(3)]
+            if determinant(Matrix(hessian)) == 0:
+                raise ValueError(f"exceptional conic {i + 1} is singular")
+            base = config.points[(i + 1) % 6]
             table = []
-            for k in ks:
-                # g(x, y, z) / tden^6 = g(theta(t)) = forced(t) q_g(t).
-                x, y, z = (_binary_at(theta[m : m + 3], k) for m in (0, 3, 6))
-                values = [x**a * y**b * z**c for a, b, c in monos]
-                table.append((values, Fraction(_binary_at(forced, k) * tden**6, fden)))
-            q = _conic_restriction(sextic.form, chart)
-            sites.append((table, [_binary_at(q, k) for k in ks]))
-    coeffs = [_scaled_integers(g.coefficient_vector()) for g in basis]
+            for q in sample_points_on_conic(conic, base, config.points, count=3):
+                (x, y, z), _ = _scaled_integers(q.coords)
+                table.append(([x**a * y**b * z**c for a, b, c in monos], 1))
+            tables.append(table)
+    coeffs = [_scaled_integers(g.coefficient_vector()) for g in (*basis, sextic.form)]
     out = []
-    for table, reference in sites:
-        vectors = [
-            [
-                Fraction(sum(map(mul, ints, vec)) * div.denominator, den * div.numerator)
-                for ints, div in table
-            ]
+    for table in tables:
+        *vectors, reference = (
+            [Fraction(sum(map(mul, ints, vec)), den * div) for ints, div in table]
             for vec, den in coeffs
-        ]
+        )
         out.append((vectors, reference))
     return out
 
@@ -401,31 +203,39 @@ def torsion_rank(sextic: NodalSextic, side: str) -> TorsionRank:
     matches restrictions to the six exceptional conics.  Both sides must
     agree, and dimension two signals nontrivial three-torsion.
 
-    Each site, a node or a conic chart, maps a basis member g of the
-    nodal system to a vector in Q^3; the conditions ask a combination of
-    these vectors to be proportional to the candidate's vector.  The
-    vectors are evaluated on integers, never expanded:
+    Each site, a node or a conic, maps a sextic g to a vector in Q^3; the
+    conditions ask a combination of the basis members' vectors to be
+    proportional to the candidate's vector.  The vectors are evaluated on
+    integers, never expanded: per site, each form's coefficient vector is
+    dotted with the rows of one integer table.
 
-    * at a node p, g's chart quadric is g's coefficient vector dotted with
-      the (2, 0), (1, 1) and (0, 2) Taylor rows of the chart at p (the
-      rows of ``multiplicity_rows`` of that order), one integer table per
-      node;
-    * on a conic chart, g(theta) = forced * q_g as binary forms, so the
-      vector (q_g(t_1), q_g(t_2), q_g(t_3)) is g at the integer-scaled
-      points theta(t_j) over forced(t_j), at three parameter points where
-      ``forced`` does not vanish.  The candidate's quadric still comes
-      from the exact composition and division of ``_conic_restriction``,
-      evaluated at the same points, so a form that does not vanish
-      doubly at the conic's configuration points raises
-      ``ArithmeticError``.
+    * At a node p, the rows are the (2, 0), (1, 1) and (0, 2) Taylor rows
+      of the chart at p (those of ``multiplicity_rows`` of that order),
+      so g's vector is its chart quadric.
+    * On conic C, the rows are the sextic monomials at three rational
+      points P_1, P_2, P_3 of C off the configuration points, found by
+      ``sample_points_on_conic``, so g's vector is (g(P_1), g(P_2),
+      g(P_3)).
 
-    For distinct t_j, q -> (q(t_1), q(t_2), q(t_3)) is invertible on
-    binary quadrics.  Applied to every vector and to the reference, it
-    keeps the set of combinations proportional to the reference, so the
-    kernel of the conditions is that of the quadric coefficients.  Its
-    annihilator, the row space, is the same too; the reduced echelon
-    form is unique, so ``kernel_basis`` returns the same vectors and the
-    basis below the same canonical forms.
+    Why these vectors give the rank of the conic restrictions: a smooth
+    conic has a rational parametrization theta of degree two, and a sextic
+    g that is singular at the five configuration points on C restricts to
+    g(theta) = forced * q_g, where forced is the squared product of the
+    five points' parameters and q_g is a binary quadric.  Each P_k is
+    theta(t_k) up to a scalar, for distinct t_k with forced(t_k) != 0, so
+    g(P_k) = c_k q_g(t_k) with c_k != 0 the same for every g and for the
+    candidate.  The map q -> (q(t_1), q(t_2), q(t_3)) is invertible on
+    binary quadrics for distinct t_k, so it keeps every proportionality
+    condition, and scaling entry k by c_k only multiplies each row of
+    ``_proportionality_rows`` by a nonzero factor.  So the kernel is that
+    of the quadric coefficients.  Its annihilator, the row space, is the
+    same too; the reduced echelon form is unique, so ``kernel_basis``
+    returns the same vectors and the basis below the same canonical forms.
+
+    The argument needs its two premises, so side ``"F"`` checks them:
+    a candidate not singular at every configuration point raises
+    ``ArithmeticError``, and a singular exceptional conic (a line pair,
+    which has no such parametrization) raises ``ValueError``.
     """
     if side not in ("E", "F"):
         raise ValueError("side must be 'E' or 'F'")

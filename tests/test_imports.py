@@ -1,6 +1,8 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+private module-level name is read somewhere in the library."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import doublesix
@@ -68,3 +70,67 @@ def test_the_unused_import_scan_sees_quoted_annotations_and_all():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == [("Fraction", 1), ("comb", 2)]
+
+
+def private_definitions(tree):
+    """(name, defining statement) for each private name bound at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def references(node):
+    """Names read in ``node``: loaded names, attribute names and names
+    imported from another module."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def unreferenced_private_names(sources):
+    """(module, name) for each private module-level name of ``sources``, a
+    {module: source} mapping, that no code outside its own definition reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    counts = Counter(name for tree in trees.values() for name in references(tree))
+    return [
+        (module, name)
+        for module, tree in trees.items()
+        for name, node in private_definitions(tree)
+        if counts[name] == Counter(references(node))[name]
+    ]
+
+
+def test_every_private_library_name_is_used_in_the_library():
+    sources = {path.name: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
+    assert len(sources) >= 10
+    assert unreferenced_private_names(sources) == []
+
+
+def test_the_private_name_scan_sees_other_modules_and_ignores_self_reference():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_unused: int = 0\n"
+            "def _loop(n):\n"
+            "    return _loop(n - 1) if n else _LIMIT\n"
+            "def _helper():\n"
+            "    return 1\n"
+            "class _Hidden:\n"
+            "    pass\n"
+        ),
+        "b.py": "from .a import _helper\nimport a\nx = a._Hidden\n",
+    }
+    assert unreferenced_private_names(sources) == [("a.py", "_unused"), ("a.py", "_loop")]

@@ -1,13 +1,16 @@
 """Node profiles, matching ranks, smoothness certificates, and the sweep."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from doublesix import _modp, plane, torsion
 from doublesix._poly import pdiv_exact, peval, pgcd, pmul, pprimitive, ptrim
-from doublesix.association import exceptional_conics
+from doublesix.association import exceptional_conics, sample_points_on_conic
 from doublesix.forms import TernaryForm, resultant_eliminate
 from doublesix.linalg import Matrix, determinant, inverse, kernel_basis, rank
 from doublesix.plane import (
@@ -23,16 +26,11 @@ from doublesix.torsion import (
     NodeDiagnosis,
     _admissible_frames,
     _binary_coefficients,
-    _binary_div_exact,
-    _binary_mul,
-    _compose_binary,
-    _conic_restriction,
     _modp_resultant_x,
     _node_factor_audit,
     _trailing_v_split,
     certify,
     certify_pencil,
-    conic_chart,
     conic_product_pencil,
     node_profile,
     random_nodal_sextic,
@@ -51,6 +49,15 @@ def coefficient_vector(form, degree=6):
 
 def parallel(u, v):
     return all(u[i] * v[j] == u[j] * v[i] for i in range(3) for j in range(i + 1, 3))
+
+
+def binary_mul(a, b):
+    """Product of binary forms given as full-length coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
 
 
 def test_triple_products_are_rejected_by_the_node_profile():
@@ -364,7 +371,7 @@ def test_degree_count_above_six_falls_back_to_the_exact_eliminants(monkeypatch, 
 
     def with_extra_factor(f, g, p):
         res = original(f, g, p)
-        return None if res is None else [c % p for c in _binary_mul(res, extra)]
+        return None if res is None else [c % p for c in binary_mul(res, extra)]
 
     degrees = record_gcd_degrees(monkeypatch)
     monkeypatch.setattr(torsion, "_modp_resultant_x", with_extra_factor)
@@ -586,71 +593,109 @@ def test_random_nodal_sextics_live_in_the_nodal_system():
             assert tangent_cone(form, p).multiplicity >= 2
 
 
-def test_binary_form_helpers():
-    one_plus = [Fraction(1), Fraction(1)]
-    one_minus = [Fraction(1), Fraction(-1)]
-    square_difference = _binary_mul(one_plus, one_minus)
-    assert square_difference == [Fraction(1), Fraction(0), Fraction(-1)]
-    assert _binary_div_exact(square_difference, one_plus) == one_minus
-    with pytest.raises(ArithmeticError):
-        _binary_div_exact([Fraction(1), Fraction(0), Fraction(1)], one_plus)
-    with pytest.raises(ZeroDivisionError):
-        _binary_div_exact(square_difference, [Fraction(0)])
+# Reference for side "F" of ``torsion_rank``: a rational chart of each
+# exceptional conic, the composition of a sextic with the chart in Fraction
+# arithmetic, and the exact division by the forced divisor.  Binary forms
+# in (u, v) are full-length coefficient lists: entry i is the coefficient
+# of u^i v^(d - i).
+
+
+def det3(a, b, c):
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+DIRECTION_CATALOG = (
+    (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 2, 3),
+    (2, 1, 5),
+)
+
+
+def integer_point(coords):
+    scale = lcm(*(c.denominator for c in coords))
+    return tuple(int(c * scale) for c in coords)
+
+
+def reference_conic_chart(config, conic, conic_index):
+    """(theta, forced, parameter) for one exceptional conic.
+
+    A line through the base point, the first configuration point on the
+    conic, with direction d(u, v) = u r1 + v r2 meets the conic again at
+    theta(u, v).  ``forced`` is the squared product of the parameters of
+    the five configuration points on the conic, the factor every matching
+    sextic restriction contains, and ``parameter`` maps a point of the
+    conic other than the base to its (u, v).  The conic and the points are
+    scaled to integers first, which scales every restriction by one
+    constant and keeps theta and forced integral.
+    """
+    conic = conic.scale(lcm(*(c.denominator for _, c in conic.terms())))
+
+    def value(x):
+        return int(conic.eval(x))
+
+    points = [integer_point(p.coords) for p in config.points]
+    base_index = next(j for j in range(6) if j != conic_index and value(points[j]) == 0)
+    base = points[base_index]
+    for r1, r2 in itertools.combinations(DIRECTION_CATALOG, 2):
+        if det3(base, r1, r2) == 0:
+            continue
+        # Secant coefficients along d: the residual intersection of the
+        # line through base is theta = c2 base - c1 d, with c2 = conic(d)
+        # and c1 the polar pairing of base with d.
+        f_r1 = value(r1)
+        f_r2 = value(r2)
+        mid = value(tuple(x + y for x, y in zip(r1, r2))) - f_r1 - f_r2
+        c2 = [f_r2, mid, f_r1]
+        c1 = [
+            value(tuple(x + y for x, y in zip(base, r2))) - f_r2,
+            value(tuple(x + y for x, y in zip(base, r1))) - f_r1,
+        ]
+        if any(c1):
+            break  # otherwise base is the vertex of this secant family
+    else:
+        raise ValueError("no admissible secant frame for the conic")
+    theta = []
+    for m in range(3):
+        prod = binary_mul(c1, [r2[m], r1[m]])
+        theta.append([c2[t] * base[m] - prod[t] for t in range(3)])
+
+    def parameter(x):
+        return det3(base, x, r2), -det3(base, x, r1)
+
+    forced = [1]
+    for k in range(6):
+        if k == conic_index:
+            continue
+        if k == base_index:
+            linear = c1
+        else:
+            linear = [det3(base, points[k], r2), det3(base, points[k], r1)]
+        assert any(linear), "degenerate parameter for a configuration point"
+        forced = binary_mul(forced, binary_mul(linear, linear))
+    return theta, forced, parameter
 
 
 def reference_compose_binary(form, theta):
-    """form(theta_0, theta_1, theta_2) composed in Fraction arithmetic:
-    the reference path for the integer ``_compose_binary``."""
-    zero = Fraction(0)
-
-    def mul(a, b):
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return out
-
+    """form(theta_0, theta_1, theta_2) composed in Fraction arithmetic."""
     powers = []
     for comp in theta:
-        table = [[Fraction(1)]]
+        table = [[1]]
         for _ in range(form.degree):
-            table.append(mul(table[-1], comp))
+            table.append(binary_mul(table[-1], comp))
         powers.append(table)
-    out = [zero] * (2 * form.degree + 1)
+    out = [Fraction(0)] * (2 * form.degree + 1)
     for (i, j, k), c in form.terms():
-        piece = mul(mul(powers[0][i], powers[1][j]), powers[2][k])
+        piece = binary_mul(binary_mul(powers[0][i], powers[1][j]), powers[2][k])
         for t, val in enumerate(piece):
             out[t] += c * val
     return out
 
 
-def conic_chart_cases():
-    rng = random.Random("conic-composition-differential")
-    configs = [REF6] + [random_general_config(rng, bound=7) for _ in range(2)]
-    for config in configs:
-        system = linear_system(6, [(p, 2) for p in config.points])
-        forms = list(system.basis) + [random_nodal_sextic(config, rng)]
-        for i, conic in enumerate(exceptional_conics(config)):
-            yield config, conic_chart(config, conic, i), forms
-
-
-def test_integer_conic_composition_matches_the_fraction_reference():
-    rng = random.Random("conic-composition-forms")
-    for config, chart, forms in conic_chart_cases():
-        scaled = [f.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9))) for f in forms[:3]]
-        for form in forms + scaled:
-            composed = _compose_binary(form, chart.theta)
-            assert composed == reference_compose_binary(form, chart.theta)
-            assert all(isinstance(x, Fraction) for x in composed)
-            # Every nodal sextic restriction still goes through the exact division.
-            q = _binary_div_exact(composed, chart.forced)
-            assert _conic_restriction(form, chart) == (q[0], q[1], q[2])
-        assert _compose_binary(TernaryForm.zero(6), chart.theta) == [Fraction(0)] * 13
-
-
 def reference_binary_div_exact(num, den):
-    """Quotient of binary forms by Fraction ``pdiv_exact``: the reference for
-    the integer division of ``_binary_div_exact``."""
+    """Quotient of binary forms by Fraction ``pdiv_exact``."""
     pn, pd = ptrim(list(num)), ptrim(list(den))
     if not pn:
         return [Fraction(0)] * (len(num) - len(den) + 1)
@@ -660,55 +705,32 @@ def reference_binary_div_exact(num, den):
     return q + [Fraction(0)] * (len(num) - len(den) + 1 - len(q))
 
 
-def test_integer_binary_division_matches_the_fraction_reference():
-    rng = random.Random("binary-division-differential")
-    cases = 0
-    for config, chart, forms in conic_chart_cases():
-        for form in forms + [forms[0].scale(Fraction(-7, 12))]:
-            composed = _compose_binary(form, chart.theta)
-            assert _binary_div_exact(composed, chart.forced) == reference_binary_div_exact(
-                composed, chart.forced
-            )
-            cases += 1
-    assert cases >= 198
-    # Synthetic quotients with rational coefficients and powers of v on
-    # either side; the division must undo the product exactly.
-    for _ in range(40):
-        quotient = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
-        divisor = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
-        quotient[rng.randrange(4)] = Fraction(rng.randint(1, 9), 7)
-        divisor[0] = Fraction(rng.randint(1, 9), 5)
-        divisor += [Fraction(0)] * rng.randint(0, 2)
-        product = _binary_mul(quotient, divisor)
-        got = _binary_div_exact(product, divisor)
-        assert got == quotient == reference_binary_div_exact(product, divisor)
-        assert all(isinstance(x, Fraction) for x in got)
-    # u^2 / (2u + 1) leaves a remainder, seen first at the leading coefficient.
-    with pytest.raises(ArithmeticError):
-        _binary_div_exact([Fraction(0), Fraction(0), Fraction(1)], [Fraction(1), Fraction(2)])
+def reference_conic_restriction(form, theta, forced):
+    """The binary quadric q with form(theta) = forced * q."""
+    return reference_binary_div_exact(reference_compose_binary(form, theta), forced)
 
 
-def test_conic_restriction_rejects_a_form_off_the_forced_divisor():
-    rng = random.Random("conic-restriction-inexact")
-    x, y, z = (TernaryForm.variable(i) for i in range(3))
-    # Vanishes at no real point, so at none of the configuration points.
-    definite = (x * x + y * y + z * z) * (x * x + 2 * y * y + 3 * z * z)
-    definite = definite * (x * x + y * y + 5 * z * z)
-    for config, chart, _ in conic_chart_cases():
-        # Through every configuration point, but with multiplicity one: the
-        # restriction has simple zeros where the forced divisor has squares.
-        simple = TernaryForm.zero(6)
-        for g in linear_system(6, [(p, 1) for p in config.points]).basis:
-            simple = simple + g.scale(rng.randint(1, 9))
-        for form in (definite, simple):
-            with pytest.raises(ArithmeticError):
-                _conic_restriction(form, chart)
+def binary_value(form, u, v):
+    d = len(form) - 1
+    return sum(c * u**i * v ** (d - i) for i, c in enumerate(form))
 
 
 # Reference for the row construction of ``torsion_rank``: each basis member's
 # chart quadric by ``chart_quadratic_part`` at every node, and each basis
 # member composed with the conic chart and divided exactly by the forced
 # divisor on every conic.
+
+
+@functools.lru_cache(maxsize=None)
+def reference_conic_sites(config):
+    """Per exceptional conic: its chart and the basis members' quadrics."""
+    basis = linear_system(6, [(p, 2) for p in config.points]).basis
+    sites = []
+    for i, conic in enumerate(exceptional_conics(config)):
+        theta, forced, parameter = reference_conic_chart(config, conic, i)
+        quadrics = [reference_conic_restriction(g, theta, forced) for g in basis]
+        sites.append((theta, forced, parameter, quadrics))
+    return sites
 
 
 def reference_torsion_rank(sextic, side):
@@ -719,11 +741,8 @@ def reference_torsion_rank(sextic, side):
             vectors = [chart_quadratic_part(g, p) for g in system.basis]
             rows.extend(torsion._proportionality_rows(vectors, sextic.cones[i]))
     else:
-        conics = exceptional_conics(sextic.config)
-        for i in range(6):
-            chart = conic_chart(sextic.config, conics[i], i)
-            vectors = [_conic_restriction(g, chart) for g in system.basis]
-            reference = _conic_restriction(sextic.form, chart)
+        for theta, forced, _, vectors in reference_conic_sites(sextic.config):
+            reference = reference_conic_restriction(sextic.form, theta, forced)
             rows.extend(torsion._proportionality_rows(vectors, reference))
     kernel = kernel_basis(Matrix(rows))
     basis = []
@@ -771,26 +790,32 @@ def test_torsion_rank_matches_the_composition_reference(rank_cases):
     assert dimensions == {1, 2}
 
 
-def binary_value(form, k):
-    """form(1, k) for a binary form whose entry i multiplies u^i v^(d - i)."""
-    d = len(form) - 1
-    return sum(c * k ** (d - i) for i, c in enumerate(form))
-
-
-def test_conic_vectors_are_the_restrictions_at_the_parameter_points(rank_cases):
+def test_conic_vectors_are_the_chart_restrictions_up_to_a_shared_factor(rank_cases):
+    """Entry k of a side-F vector is c_k q(t_k), where q is the form's conic
+    restriction divided by the forced divisor, t_k the chart parameter of the
+    k-th sample point, and c_k != 0 is shared by every basis member and the
+    candidate."""
     for profile, *_ in rank_cases:
         config = profile.config
         basis = linear_system(6, [(p, 2) for p in config.points]).basis
         sites = torsion._matching_vectors(profile, "F", basis)
-        for i, conic in enumerate(exceptional_conics(config)):
-            chart = conic_chart(config, conic, i)
-            ks = torsion._parameter_points(chart.forced)
+        conics = exceptional_conics(config)
+        for i, (theta, forced, parameter, quadrics) in enumerate(reference_conic_sites(config)):
             vectors, reference = sites[i]
-            for g, vector in zip(basis, vectors):
-                q = _conic_restriction(g, chart)
-                assert vector == [binary_value(q, k) for k in ks]
-            q = _conic_restriction(profile.form, chart)
-            assert list(reference) == [binary_value(q, k) for k in ks]
+            quadrics = quadrics + [reference_conic_restriction(profile.form, theta, forced)]
+            base = config.points[(i + 1) % 6]
+            samples = sample_points_on_conic(conics[i], base, config.points, count=3)
+            for k, point in enumerate(samples):
+                u, v = parameter(point.coords)
+                assert binary_value(forced, u, v) != 0
+                factors = set()
+                for q, vector in zip(quadrics, vectors + [reference]):
+                    want = binary_value(q, u, v)
+                    if want == 0:
+                        assert vector[k] == 0
+                    else:
+                        factors.add(vector[k] / want)
+                assert len(factors) == 1 and 0 not in factors
 
 
 def test_node_vectors_are_the_chart_quadrics(rank_cases):
@@ -800,45 +825,22 @@ def test_node_vectors_are_the_chart_quadrics(rank_cases):
         sites = torsion._matching_vectors(profile, "E", basis)
         for p, cone, (vectors, reference) in zip(config.points, profile.cones, sites):
             assert vectors == [list(chart_quadratic_part(g, p)) for g in basis]
-            assert reference == cone == chart_quadratic_part(profile.form, p)
-
-
-def test_parameter_points_avoid_the_roots_of_the_forced_divisor():
-    skipped = 0
-    for config in rank_configs():
-        for i, conic in enumerate(exceptional_conics(config)):
-            forced = conic_chart(config, conic, i).forced
-            ks = torsion._parameter_points(forced)
-            assert len(set(ks)) == 3
-            assert all(binary_value(forced, k) != 0 for k in ks)
-            # The first three points of (1 : 0), (1 : 1), ... off the divisor.
-            roots = [k for k in range(max(ks)) if binary_value(forced, k) == 0]
-            assert sorted(ks + roots) == list(range(max(ks) + 1))
-            skipped += len(roots)
-    # On REF6, forced vanishes at (1 : 0) and (1 : 1) on conics 5 and 6.
-    assert skipped >= 4
+            assert tuple(reference) == cone == chart_quadratic_part(profile.form, p)
 
 
 def test_torsion_rank_composes_only_the_candidate(monkeypatch):
-    calls = {"restriction": 0, "chart quadric": 0}
-    restriction = torsion._conic_restriction
-
-    def counted_restriction(form, chart):
-        calls["restriction"] += 1
-        return restriction(form, chart)
+    calls = {"chart quadric": 0}
 
     def counted_chart_quadric(form, p):
         calls["chart quadric"] += 1
         return chart_quadratic_part(form, p)
 
-    monkeypatch.setattr(torsion, "_conic_restriction", counted_restriction)
     monkeypatch.setattr(plane, "chart_quadratic_part", counted_chart_quadric)
     monkeypatch.setattr(torsion, "chart_quadratic_part", counted_chart_quadric, raising=False)
     profile = node_profile(REF6, conic_product_pencil(REF6).member(1, 1))
     torsion_rank(profile, "F")
-    assert calls == {"restriction": 6, "chart quadric": 0}
     torsion_rank(profile, "E")
-    assert calls == {"restriction": 6, "chart quadric": 0}
+    assert calls == {"chart quadric": 0}
 
 
 def test_torsion_rank_rejects_a_hand_built_sextic_off_the_forced_divisor():
@@ -846,9 +848,38 @@ def test_torsion_rank_rejects_a_hand_built_sextic_off_the_forced_divisor():
     # Vanishes at no real point, so at no configuration point.
     definite = (x * x + y * y + z * z) * (x * x + 2 * y * y + 3 * z * z)
     definite = definite * (x * x + y * y + 5 * z * z)
+    # Through every configuration point, but with multiplicity one: its
+    # conic restrictions have simple zeros where the forced divisor has squares.
+    rng = random.Random("conic-restriction-inexact")
+    simple = TernaryForm.zero(6)
+    for g in linear_system(6, [(p, 1) for p in REF6.points]).basis:
+        simple = simple + g.scale(rng.randint(1, 9))
     cones = node_profile(REF6, conic_product_pencil(REF6).member(1, 1)).cones
-    with pytest.raises(ArithmeticError):
-        torsion_rank(NodalSextic(REF6, definite, cones), "F")
+    for form in (definite, simple):
+        with pytest.raises(ArithmeticError):
+            torsion_rank(NodalSextic(REF6, form, cones), "F")
+
+
+def conic_matrix(conic):
+    """The symmetric matrix M with conic(x) = x^T M x."""
+    c = conic.coefficient
+    half = Fraction(1, 2)
+    return [
+        [c((2, 0, 0)), half * c((1, 1, 0)), half * c((1, 0, 1))],
+        [half * c((1, 1, 0)), c((0, 2, 0)), half * c((0, 1, 1))],
+        [half * c((1, 0, 1)), half * c((0, 1, 1)), c((0, 0, 2))],
+    ]
+
+
+def test_torsion_rank_rejects_a_singular_exceptional_conic():
+    # Points 1, 2, 3 of COLLINEAR lie on z = 0, so the conics through five
+    # points that omit 4, 5 or 6 are line pairs, which have no chart.
+    conics = exceptional_conics(COLLINEAR)
+    assert [determinant(Matrix(conic_matrix(c))) == 0 for c in conics] == [False] * 3 + [True] * 3
+    profile = node_profile(COLLINEAR, random_nodal_sextic(COLLINEAR, random.Random("collinear")))
+    assert profile.ok
+    with pytest.raises(ValueError, match="exceptional conic 4 is singular"):
+        torsion_rank(profile, "F")
 
 
 # Reference for ``_modp_resultant_x``, which reduces the forms mod p and
