@@ -1,9 +1,10 @@
-"""GF(p) helpers for the smoothness screen and the smoothness proof.
+"""GF(p) helpers for the smoothness degree count.
 
 Univariate polynomials are int lists, low degree first, coefficients
-reduced mod p.  The resultants mod p come from the exact
-``forms.resultant_eliminate`` run on forms reduced by ``frac_mod``;
-only the gcd runs here.
+reduced mod p.  ``torsion._modp_resultant_x`` builds each eliminant mod
+p from these pieces: ``resultant_mod`` at the points t = 0 .. mn, then
+``interpolate_mod``; ``gcd_mod`` then takes the gcd of the two
+eliminants.
 
 ``gcd_mod`` proves facts in one place, the degree count of
 ``torsion.smooth_elsewhere``, which ``torsion.smooth_screen`` also runs
@@ -34,22 +35,80 @@ def frac_mod(x: Fraction, p: int) -> int | None:
     return x.numerator % p * pow(den, -1, p) % p
 
 
+def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b in GF(p)[u], trimmed; b is trimmed and nonzero."""
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    while len(r) > db:
+        # Cancel the top coefficient with c * b shifted to its degree.
+        c = r.pop() * inv % p
+        if c:
+            i = len(r)
+            r[i - db:i] = [(x - c * y) % p for x, y in zip(r[i - db:i], b)]
+    return ptrim(r)
+
+
 def gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd in GF(p)[u] by the Euclidean algorithm."""
     a = ptrim([x % p for x in a])
     b = ptrim([x % p for x in b])
     while b:
-        # a mod b
-        r = list(a)
-        inv = pow(b[-1], -1, p)
-        for i in range(len(r) - 1, len(b) - 2, -1):
-            if r[i] == 0:
-                continue
-            c = r[i] * inv % p
-            for j, bj in enumerate(b):
-                r[i - len(b) + 1 + j] = (r[i - len(b) + 1 + j] - c * bj) % p
-        a, b = b, ptrim(r)
+        a, b = b, _rem_mod(a, b, p)
     if a:
         inv = pow(a[-1], -1, p)
         a = [x * inv % p for x in a]
     return a
+
+
+def resultant_mod(f: list[int], g: list[int], p: int) -> int:
+    """Res(f, g) over GF(p) by the Euclidean remainder sequence.
+
+    The degrees m and n are those of the trimmed lists, so the answer is
+    the Sylvester determinant of f and g at their true degrees.  With
+    r = f mod g of degree k, Res(f, g) = (-1)^(mn) lc(g)^(m-k) Res(g, r);
+    a zero remainder of a nonconstant g gives 0, and Res(f, c) = c^m for
+    a constant c.  A zero polynomial gives 0.
+    """
+    f = ptrim([x % p for x in f])
+    g = ptrim([x % p for x in g])
+    if not f or not g:
+        return 0
+    res = 1
+    while len(g) > 1:
+        r = _rem_mod(f, g, p)
+        if not r:
+            return 0
+        m, n = len(f) - 1, len(g) - 1
+        if m * n % 2:
+            res = -res
+        res = res * pow(g[-1], m - len(r) + 1, p) % p
+        f, g = g, r
+    return res * pow(g[0], len(f) - 1, p) % p
+
+
+def interpolate_mod(xs: list[int], ys: list[int], p: int) -> list[int]:
+    """The polynomial of degree < len(xs) with value ys[i] at xs[i], over GF(p).
+
+    Newton's divided differences, then the Newton form expanded by
+    Horner's rule.  The xs must be distinct mod p.  The list has exactly
+    len(xs) entries and is not trimmed: a binary form read from it keeps
+    its power of v in the trailing zeros.
+    """
+    n = len(xs)
+    c = [y % p for y in ys]
+    inverses: dict[int, int] = {}  # equally spaced xs repeat each difference
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            d = xs[i] - xs[i - k]
+            if d not in inverses:
+                inverses[d] = pow(d, -1, p)
+            c[i] = (c[i] - c[i - 1]) * inverses[d] % p
+    out = [0] * n
+    for k in range(n - 1, -1, -1):
+        # out <- out * (u - xs[k]) + c[k]; out has degree n - 2 - k here.
+        xk = xs[k]
+        for j in range(n - 1 - k, 0, -1):
+            out[j] = (out[j - 1] - xk * out[j]) % p
+        out[0] = (c[k] - xk * out[0]) % p
+    return out

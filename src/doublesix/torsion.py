@@ -424,25 +424,42 @@ def _singular_at(form: TernaryForm, points: list) -> bool:
 def _modp_resultant_x(f: TernaryForm, g: TernaryForm, p: int) -> list[int] | None:
     """Res_x(f, g) mod p as a binary coefficient list, or None on bad reduction.
 
-    The resultant commutes with reduction mod p while both leading
-    x-coefficients survive, so the exact routine runs on the forms with
-    their coefficients reduced into [0, p).  A denominator divisible by
-    p, or a leading x-coefficient divisible by p, gives None.
+    Entry j is the coefficient of y^j z^(mn - j), as in
+    ``resultant_eliminate``.  A denominator divisible by p, or an x^m or
+    x^n coefficient divisible by p (a form that vanishes mod p among
+    them), gives None.
+
+    Otherwise both leading x-coefficients are nonzero constants mod p, so
+    the resultant commutes with reduction and with specialization:
+    Res_x(f, g)(t, 1) = Res(f(x, t, 1), g(x, t, 1)) over GF(p), with both
+    univariate polynomials at full degree.  That binary form has degree
+    mn, so its values at t = 0 .. mn, distinct because p > mn, determine
+    it: each value comes from ``_modp.resultant_mod`` and the coefficients
+    from ``_modp.interpolate_mod``.  The list is the exact eliminant of
+    the reduced forms, reduced mod p, entry by entry.
     """
-    reduced = []
+    m, n = f.degree, g.degree
+    if p <= m * n:
+        raise ValueError(f"interpolating a degree-{m * n} eliminant needs p > {m * n}")
+    tables = []
     for form in (f, g):
-        coeffs = {}
-        for mono, c in form.terms():
+        # rows[i][j]: the coefficient of x^i y^j z^(deg - i - j) mod p
+        rows = [[0] * (form.degree + 1 - i) for i in range(form.degree + 1)]
+        for (i, j, _), c in form.terms():
             cm = _modp.frac_mod(c, p)
             if cm is None:
                 return None
-            coeffs[mono] = cm
-        reduced.append(TernaryForm(form.degree, coeffs))
-    try:
-        res = resultant_eliminate(*reduced, 0)
-    except ValueError:  # degenerate elimination, or a form that vanishes mod p
-        return None
-    return [c.numerator % p for c in _binary_coefficients(res)]
+            rows[i][j] = cm
+        if rows[-1][0] == 0:  # the x^deg coefficient vanishes mod p
+            return None
+        tables.append(rows)
+    ts = list(range(m * n + 1))
+    values = []
+    for t in ts:
+        powers = [t**j for j in range(max(m, n) + 1)]
+        fu, gu = ([sum(map(mul, row, powers)) % p for row in rows] for rows in tables)
+        values.append(_modp.resultant_mod(fu, gu, p))
+    return _modp.interpolate_mod(ts, values, p)
 
 
 def _modp_gcd_degree(fx: TernaryForm, fy: TernaryForm, fz: TernaryForm) -> int | None:
@@ -674,6 +691,12 @@ def certify(config: Config6, form: TernaryForm) -> TorsionCertificate:
         return TorsionCertificate(
             config, form, False, (f"node profile failed: {profile.describe()}",)
         )
+    return _certify_nodal(profile)
+
+
+def _certify_nodal(profile: NodalSextic) -> TorsionCertificate:
+    """The part of ``certify`` after the node profile, for a checked sextic."""
+    config, form = profile.config, profile.form
     rank_e = torsion_rank(profile, "E")
     rank_f = torsion_rank(profile, "F")
     reasons = []
@@ -751,7 +774,7 @@ def certify_pencil(config: Config6) -> TorsionCertificate:
                 screened=True,
             )
             continue
-        cert = replace(certify(config, candidate), member=("1", str(k)))
+        cert = replace(_certify_nodal(profile), member=("1", str(k)))
         if cert.accepted:
             return cert
         last = cert

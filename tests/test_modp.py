@@ -3,8 +3,13 @@
 import random
 from fractions import Fraction
 
-from doublesix._modp import SCREEN_PRIMES, frac_mod, gcd_mod
-from doublesix._poly import pgcd, pmul
+import pytest
+
+from doublesix._modp import SCREEN_PRIMES, frac_mod, gcd_mod, interpolate_mod, resultant_mod
+from doublesix._poly import peval, pgcd, pmul
+from doublesix.forms import TernaryForm
+from doublesix.linalg import Matrix, determinant
+from doublesix.torsion import _modp_resultant_x
 
 
 def random_int_poly(rng, degree, bound=9):
@@ -42,3 +47,60 @@ def test_gcd_mod_is_the_rational_gcd_reduced_mod_p():
         assert gcd_mod([], [], p) == []
         assert gcd_mod([], [6, 3], p) == [2, 1]
     assert 0 in degrees and max(degrees) >= 3
+
+
+def sylvester_mod(f, g, p):
+    """Sylvester determinant of f and g at their list degrees, reduced mod p."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * s + f[::-1] + [0] * (n - 1 - s) for s in range(n)]
+    rows += [[0] * s + g[::-1] + [0] * (m - 1 - s) for s in range(m)]
+    if not rows:
+        return 1
+    return int(determinant(Matrix(rows))) % p
+
+
+def test_resultant_mod_is_the_sylvester_determinant_mod_p():
+    rng = random.Random("modp-resultant")
+    for p in (101,) + SCREEN_PRIMES:
+        for _ in range(40):
+            f, g = ([rng.randrange(p) for _ in range(rng.randint(0, 6))] + [rng.randrange(1, p)]
+                    for _ in range(2))
+            assert resultant_mod(f, g, p) == sylvester_mod(f, g, p)
+        # A shared root u = 3 makes the resultant vanish.
+        a = pmul([-3, 1], random_int_poly(rng, 3))
+        b = pmul([-3, 1], random_int_poly(rng, 4))
+        assert resultant_mod(a, b, p) == 0 == sylvester_mod(a, b, p)
+        # deg f < deg g: Res(f, g) = (-1)^(mn) Res(g, f).
+        f, g = random_int_poly(rng, 2), random_int_poly(rng, 5)
+        assert resultant_mod(f, g, p) == sylvester_mod(f, g, p) == resultant_mod(g, f, p)
+        f, g = random_int_poly(rng, 3), random_int_poly(rng, 5)
+        assert resultant_mod(f, g, p) == sylvester_mod(f, g, p) == -resultant_mod(g, f, p) % p
+        # A constant: Res(f, c) = c^m and Res(c, g) = c^n.
+        assert resultant_mod(f, [7], p) == pow(7, 3, p) == sylvester_mod(f, [7], p)
+        assert resultant_mod([-2], g, p) == pow(-2, 5, p) == sylvester_mod([-2], g, p)
+
+
+def test_interpolate_mod_recovers_every_coefficient_untrimmed():
+    rng = random.Random("modp-interpolate")
+    xs = list(range(26))
+    for p in SCREEN_PRIMES:
+        polys = [[0] * 26, [5] + [0] * 25, [0] * 20 + [1] + [0] * 5]
+        polys += [[rng.randrange(p) for _ in range(rng.randint(1, 26))] for _ in range(12)]
+        for poly in polys:
+            poly = poly + [0] * (26 - len(poly))
+            ys = [peval(poly, x) % p for x in xs]
+            assert interpolate_mod(xs, ys, p) == poly
+        # Any distinct points serve, and the length is that of xs.
+        points = rng.sample(range(-10**6, 10**6), 8)
+        poly = [rng.randrange(p) for _ in range(6)] + [0, 0]
+        got = interpolate_mod(points, [peval(poly, x) % p for x in points], p)
+        assert got == poly and len(got) == 8
+
+
+def test_modp_resultant_x_needs_a_prime_above_the_eliminant_degree():
+    f = TernaryForm(5, {(5, 0, 0): 1, (0, 5, 0): 2, (1, 2, 2): 3})
+    g = TernaryForm(5, {(5, 0, 0): 3, (0, 0, 5): -1, (2, 3, 0): 1})
+    for p in (2, 23, 25):
+        with pytest.raises(ValueError, match="needs p > 25"):
+            _modp_resultant_x(f, g, p)
+    assert len(_modp_resultant_x(f, g, 29)) == 26

@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from doublesix import _modp, plane, torsion
+from doublesix import _modp, forms, plane, torsion
 from doublesix._poly import pdiv_exact, peval, pgcd, pmul, pprimitive, ptrim
 from doublesix.association import exceptional_conics, sample_points_on_conic
 from doublesix.forms import TernaryForm, resultant_eliminate
@@ -323,6 +323,29 @@ def test_smoothness_route_stays_out_of_the_certificate_json():
     assert set(cert.to_json()["smooth_elsewhere"]) == {"certified", "attempts", "detail"}
 
 
+def count_exact_eliminations(monkeypatch):
+    """Patch ``resultant_eliminate`` where the library binds it to log each call."""
+    calls = []
+    original = forms.resultant_eliminate
+
+    def counted(f, g, var):
+        calls.append(var)
+        return original(f, g, var)
+
+    monkeypatch.setattr(forms, "resultant_eliminate", counted)
+    monkeypatch.setattr(torsion, "resultant_eliminate", counted)
+    return calls
+
+
+def test_degree_count_runs_no_exact_elimination(monkeypatch):
+    form = conic_product_pencil(REF6).member(1, 1).canonical()
+    calls = count_exact_eliminations(monkeypatch)
+    verdict = smooth_elsewhere(form, REF6.points)
+    assert verdict.certified and verdict.route == "degree count"
+    assert smooth_screen(form, REF6.points) is True
+    assert calls == []
+
+
 def record_gcd_degrees(monkeypatch):
     """Patch ``_modp_gcd_degree`` to log every degree it returns."""
     degrees = []
@@ -374,9 +397,11 @@ def test_degree_count_above_six_falls_back_to_the_exact_eliminants(monkeypatch, 
         return None if res is None else [c % p for c in binary_mul(res, extra)]
 
     degrees = record_gcd_degrees(monkeypatch)
+    calls = count_exact_eliminations(monkeypatch)
     monkeypatch.setattr(torsion, "_modp_resultant_x", with_extra_factor)
     verdict = smooth_elsewhere(form, REF6.points)
     assert degrees == [7]
+    assert len(calls) == 2
     assert verdict_key(verdict) == (True, 4, "only the six nodes are singular", (1,) * 6)
     assert verdict.route == "exact"
 
@@ -882,10 +907,30 @@ def test_torsion_rank_rejects_a_singular_exceptional_conic():
         torsion_rank(profile, "F")
 
 
-# Reference for ``_modp_resultant_x``, which reduces the forms mod p and
-# runs the exact ``resultant_eliminate``: Res_x evaluated at t = 0 .. mn as
-# a GF(p) Sylvester determinant of f(x, t, 1) and g(x, t, 1), then Lagrange
-# interpolation over GF(p).
+# Two references for ``_modp_resultant_x``, which runs a Euclidean
+# resultant over GF(p) at t = 0 .. mn and interpolates in Newton form.
+# ``reference_exact_resultant_x`` reduces the forms mod p and runs the exact
+# ``resultant_eliminate``; ``reference_resultant_x`` evaluates Res_x at
+# t = 0 .. mn as a GF(p) Sylvester determinant of f(x, t, 1) and g(x, t, 1),
+# then interpolates by Lagrange over GF(p).
+
+
+def reference_exact_resultant_x(f, g, p):
+    """Res_x(f, g) mod p from the exact eliminant of the reduced forms."""
+    reduced = []
+    for form in (f, g):
+        coeffs = {}
+        for mono, c in form.terms():
+            cm = _modp.frac_mod(c, p)
+            if cm is None:
+                return None
+            coeffs[mono] = cm
+        reduced.append(TernaryForm(form.degree, coeffs))
+    try:
+        res = resultant_eliminate(*reduced, 0)
+    except ValueError:  # degenerate elimination, or a form that vanishes mod p
+        return None
+    return [c.numerator % p for c in _binary_coefficients(res)]
 
 
 def reference_det_mod(rows, p):
@@ -984,25 +1029,41 @@ def reference_resultant_x(f, g, p):
     return poly + [0] * (bound + 1 - len(poly))
 
 
+def conic_triple_combination(config, rng):
+    """A seeded integer combination of the 20 products of three exceptional
+    conics, as the nodal-reject benchmark builds them: the conics are scaled
+    to a leading 1, so the coefficients carry large denominators."""
+    conics = exceptional_conics(config)
+    form = TernaryForm.zero(6)
+    for a, b, c in itertools.combinations(range(6), 3):
+        form = form + (conics[a] * conics[b] * conics[c]).scale(rng.randint(-9, 9))
+    return form
+
+
 def test_screen_resultant_matches_the_evaluation_reference():
     rng = random.Random("screen-resultant-differential")
     configs = [REF6] + [random_general_config(rng) for _ in range(2)]
-    cases = 0
-    for config in configs:
-        forms = [conic_product_pencil(config).member(1, 1), random_nodal_sextic(config, rng)]
-        for form in forms:
-            for frame, _ in _admissible_frames(form, [q.coords for q in config.points]):
-                if frame is None:
-                    continue
-                moved = frame[0]
-                fx, fy, fz = (moved.partial(v) for v in range(3))
-                for p in _modp.SCREEN_PRIMES:
-                    for other in (fy, fz):
-                        got = _modp_resultant_x(fx, other, p)
-                        assert got is not None and len(got) == 26
-                        assert got == reference_resultant_x(fx, other, p)
-                        cases += 1
-    assert cases >= 48
+    wide = random_general_config(rng, bound=2**60)
+    cases = [(config, conic_product_pencil(config).member(1, 1)) for config in configs + [wide]]
+    cases += [(config, random_nodal_sextic(config, rng)) for config in configs]
+    nodal = conic_triple_combination(configs[1], rng)
+    assert max(c.denominator for _, c in nodal.terms()) > 2**60
+    cases.append((configs[1], nodal))
+    count = 0
+    for config, form in cases:
+        for frame, _ in _admissible_frames(form, [q.coords for q in config.points]):
+            if frame is None:
+                continue
+            moved = frame[0]
+            fx, fy, fz = (moved.partial(v) for v in range(3))
+            for p in _modp.SCREEN_PRIMES:
+                for other in (fy, fz):
+                    got = _modp_resultant_x(fx, other, p)
+                    assert got is not None and len(got) == 26
+                    assert got == reference_exact_resultant_x(fx, other, p)
+                    assert got == reference_resultant_x(fx, other, p)
+                    count += 1
+    assert count >= 64
 
 
 def test_screen_resultant_is_none_on_bad_reduction():
@@ -1010,11 +1071,13 @@ def test_screen_resultant_is_none_on_bad_reduction():
     generic = {(6, 0, 0): 1, (5, 1, 0): 2, (5, 0, 1): 3, (3, 2, 1): -1, (0, 6, 0): 5, (0, 0, 6): 7}
     lead_divisible = TernaryForm(6, {**generic, (6, 0, 0): p})
     denominator_p = TernaryForm(6, {**generic, (1, 2, 3): Fraction(4, p)})
-    for form in (lead_divisible, denominator_p):
+    vanishing = TernaryForm(6, {mono: p * c for mono, c in generic.items()})
+    for form in (lead_divisible, denominator_p, vanishing):
         fx, fy = form.partial(0), form.partial(1)
         # Over Q both eliminations are proper; only the reduction mod p fails.
         assert not resultant_eliminate(fx, fy, 0).is_zero
         assert reference_resultant_x(fx, fy, p) is None
+        assert reference_exact_resultant_x(fx, fy, p) is None
         assert _modp_resultant_x(fx, fy, p) is None
         assert _modp_resultant_x(fx, fy, _modp.SCREEN_PRIMES[1]) is not None
 
