@@ -5,6 +5,11 @@ triples (i, j, k) with i + j + k = d to nonzero Fraction coefficients.
 The monomial order used everywhere (serialization, canonical scaling,
 linear-system columns) is descending lexicographic on the exponent
 triple, e.g. for conics: x^2, xy, xz, y^2, yz, z^2.
+
+Evaluation runs on integers: :func:`integer_powers` writes a point as
+(x, y, z) / D with integer x, y, z and tabulates their powers, and
+:meth:`TernaryForm.eval` sums integer products over the coefficients'
+common denominator, forming one ``Fraction`` at the end.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import _poly
-from .linalg import Matrix, rat
+from .linalg import Matrix, clear_denominators, rat
 
 VARS = ("x", "y", "z")
 
@@ -25,6 +30,20 @@ def monomials_of_degree(d: int) -> list[Mono]:
     """All exponent triples of total degree d, descending lex."""
     out = [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
     return sorted(out, reverse=True)
+
+
+def integer_powers(point: Sequence, degree: int) -> tuple[list[list[int]], int]:
+    """Powers 0..degree of the point's coordinates, cleared of denominators.
+
+    Returns ([xs, ys, zs], D) with point = (x, y, z) / D for the least
+    positive D and xs[e] = x**e, and so on; a degree-d monomial at the
+    point is then xs[i] * ys[j] * zs[k] / D**d.
+    """
+    coords = [rat(u) for u in point]
+    if len(coords) != 3:
+        raise ValueError("a plane point needs three coordinates")
+    ints, den = clear_denominators(coords)
+    return [[v**e for e in range(degree + 1)] for v in ints], den
 
 
 class TernaryForm:
@@ -145,11 +164,18 @@ class TernaryForm:
         return TernaryForm(self.degree, {m: c * v for m, v in self._coeffs.items()})
 
     def eval(self, point: Sequence) -> Fraction:
-        px, py, pz = (rat(u) for u in point)
-        total = Fraction(0)
-        for (i, j, k), c in self._coeffs.items():
-            total += c * px**i * py**j * pz**k
-        return total
+        """The value at a coordinate triple, exactly.
+
+        With the point as (x, y, z) / D and the coefficients as n_m / N
+        over their common denominator N, every monomial has degree d, so
+        f(point) = sum n_m x^i y^j z^k / (N D^d): one integer sum and one
+        ``Fraction``, which normalises to the same value as the sum of
+        ``Fraction`` terms.
+        """
+        (xs, ys, zs), den = integer_powers(point, self.degree)
+        nums, cden = clear_denominators(self._coeffs.values())
+        total = sum(n * xs[i] * ys[j] * zs[k] for (i, j, k), n in zip(self._coeffs, nums))
+        return Fraction(total, cden * den**self.degree)
 
     def partial(self, var: int) -> "TernaryForm":
         """Formal partial derivative; degree drops by one."""

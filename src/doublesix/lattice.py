@@ -117,55 +117,34 @@ def blowdown_line_class(sixer: tuple[PicClass, ...]) -> PicClass:
 
 
 def double_sixes() -> list[DoubleSix]:
-    """All 36 double sixes among the 27 lines.
+    """All 36 double sixes among the 27 lines, from Schlaefli's list.
 
-    A sixer of pairwise skew lines determines its partner: the partner
-    lines are exactly those meeting five of the six.  B is ordered so
-    that A_i . B_i = 0.  The classical (E; F) pair comes first; the
-    rest follow in lexicographic order of their sorted A-sixer.
+    With C_ij = L - E_i - E_j they are: the classical pair (E; F); for
+    each pair i < j, (E_i, F_i, C_jk ...; E_j, F_j, C_ik ...) over the
+    four k outside {i, j}; for each triple i < j < k with complement
+    l < m < n, (E_i, E_j, E_k, C_mn, C_ln, C_lm; C_jk, C_ik, C_ij, F_l,
+    F_m, F_n).  Of the two sixers, A is the one whose sorted indices in
+    ``lines_27()`` come first, ordered by index, and B is ordered so
+    that A_i . B_i = 0.  The classical pair comes first; the rest follow
+    in lexicographic order of their sorted A-sixer.
     """
-    lines = lines_27()
-    n = len(lines)
-    meets = [[lines[i].intersect(lines[j]) for j in range(n)] for i in range(n)]
+    index = {cls: n for n, cls in enumerate(lines_27())}
 
-    sixers: list[tuple[int, ...]] = []
+    def c(i: int, j: int) -> PicClass:
+        return L - E[i] - E[j]
 
-    def extend(chosen: list[int], start: int) -> None:
-        if len(chosen) == 6:
-            sixers.append(tuple(chosen))
-            return
-        for k in range(start, n):
-            if all(meets[c][k] == 0 for c in chosen):
-                chosen.append(k)
-                extend(chosen, k + 1)
-                chosen.pop()
-
-    extend([], 0)
-
-    seen: set[frozenset] = set()
-    out: list[DoubleSix] = []
-    for sixer in sixers:
-        a = [lines[i] for i in sixer]
-        partner_idx = [
-            j
-            for j in range(n)
-            if j not in sixer and sum(meets[i][j] for i in sixer) == 5
-        ]
-        if len(partner_idx) != 6:
-            continue
-        b_pool = [lines[j] for j in partner_idx]
-        b = []
-        for ai in a:
-            match = [x for x in b_pool if ai.intersect(x) == 0]
-            if len(match) != 1:
-                break
-            b.append(match[0])
-        else:
-            ds = DoubleSix(tuple(a), tuple(b))
-            if ds.key() in seen:
-                continue
-            seen.add(ds.key())
-            out.append(ds)
+    pairs = [(E, F)]
+    for i, j in combinations(range(6), 2):
+        rest = [k for k in range(6) if k not in (i, j)]
+        pairs.append(((E[i], F[i], *(c(j, k) for k in rest)), (E[j], F[j], *(c(i, k) for k in rest))))
+    for i, j, k in combinations(range(6), 3):
+        l, m, n = (t for t in range(6) if t not in (i, j, k))
+        pairs.append(((E[i], E[j], E[k], c(m, n), c(l, n), c(l, m)),
+                      (c(j, k), c(i, k), c(i, j), F[l], F[m], F[n])))
+    out = []
+    for pair in pairs:
+        a, b = sorted((sorted(six, key=index.get) for six in pair), key=lambda s: list(map(index.get, s)))
+        out.append(DoubleSix(tuple(a), tuple(next(y for y in b if x.intersect(y) == 0) for x in a)))
     classical = DoubleSix(E, F).key()
     out.sort(key=lambda d: (d.key() != classical, tuple(sorted(x.vector() for x in d.a))))
     return out

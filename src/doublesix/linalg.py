@@ -5,13 +5,15 @@ nonzero pivot in column order, so kernels, determinants and echelon
 forms are byte-for-byte reproducible for a given input.  Scalars are
 ``fractions.Fraction`` throughout (auto-reduced, positive denominator);
 elimination itself runs on integer rows with denominators cleared.
+:func:`clear_denominators` does that for elimination and determinants
+here and for the integer evaluation in ``forms``, ``plane`` and ``torsion``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 Rational = Fraction
 
@@ -95,10 +97,15 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
+def clear_denominators(vec: Collection[Fraction]) -> tuple[list[int], int]:
+    """Integers n and the least positive d with vec = n / d, entry by entry."""
+    d = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (d // x.denominator) for x in vec], d
+
+
 def _integer_row(row: Sequence[Fraction]) -> list[int]:
     """The row scaled to coprime integers (its primitive part)."""
-    d = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (d // x.denominator) for x in row]
+    ints, _ = clear_denominators(row)
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -192,9 +199,9 @@ def determinant(m: Matrix) -> Fraction:
     scale = 1
     int_rows: list[list[int]] = []
     for row in m.rows:
-        d = lcm(*(x.denominator for x in row))
+        ints, d = clear_denominators(row)
         scale *= d
-        int_rows.append([x.numerator * (d // x.denominator) for x in row])
+        int_rows.append(ints)
     return Fraction(_bareiss_int(int_rows), scale)
 
 

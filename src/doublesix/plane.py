@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .forms import Mono, TernaryForm, monomials_of_degree
+from .forms import Mono, TernaryForm, integer_powers, monomials_of_degree
 from .linalg import Matrix, determinant, inverse, kernel_basis, rat
 from .perms import Perm, all_perms
 
@@ -121,9 +121,11 @@ REF6 = Config6(
 
 
 def veronese_row(point: Sequence, degree: int) -> list[Fraction]:
-    """Values of the degree-d monomials at the point, in the fixed order."""
-    px, py, pz = (rat(x) for x in point)
-    return [px**i * py**j * pz**k for (i, j, k) in monomials_of_degree(degree)]
+    """Values of the degree-d monomials at the point, in the fixed order: with
+    the point as (x, y, z) / D, each is one ``Fraction`` x^i y^j z^k / D^d."""
+    (xs, ys, zs), den = integer_powers(point, degree)
+    scale = den**degree
+    return [Fraction(xs[i] * ys[j] * zs[k], scale) for (i, j, k) in monomials_of_degree(degree)]
 
 
 @dataclass(frozen=True)
@@ -189,15 +191,25 @@ def _chart_columns(
 
     The chart axis c is the pivot (first nonzero coordinate) of p and
     a < b are the other two, so the vertex (0:0:1) maps to p.
+
+    The entry is C(m_a, i) C(m_b, j) p_a^(m_a - i) p_b^(m_b - j) p_c^(m_c).
+    ``PointP2`` scales the pivot to p_c = 1, so with p = (n_a, n_b, n_c) / d
+    cleared of denominators, n_c = d and the entry is the single
+    ``Fraction`` C(m_a, i) C(m_b, j) n_a^(m_a - i) n_b^(m_b - j) /
+    d^(m_a - i + m_b - j); it normalises to the same value as the product.
     """
     c = next(i for i in range(3) if p.coords[i] != 0)
     a, b = (i for i in range(3) if i != c)
     top = max((sum(m) for m in monos), default=0)
-    pa, pb, pc = ([p.coords[t] ** e for e in range(top + 1)] for t in (a, b, c))
+    powers, _ = integer_powers(p.coords, top)
+    na, nb, dc = powers[a], powers[b], powers[c]  # dc[e] = d^e, as p_c = 1
     zero = Fraction(0)
     return [
         [
-            comb(m[a], i) * comb(m[b], j) * pa[m[a] - i] * pb[m[b] - j] * pc[m[c]]
+            Fraction(
+                comb(m[a], i) * comb(m[b], j) * na[m[a] - i] * nb[m[b] - j],
+                dc[m[a] - i + m[b] - j],
+            )
             if i <= m[a] and j <= m[b]
             else zero
             for m in monos

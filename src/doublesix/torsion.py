@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Sequence, Union
 
@@ -35,10 +34,11 @@ from .association import exceptional_conics, sample_points_on_conic
 from .forms import (
     DegenerateEliminationError,
     TernaryForm,
+    integer_powers,
     monomials_of_degree,
     resultant_eliminate,
 )
-from .linalg import Matrix, Rational, determinant, inverse, kernel_basis, rat
+from .linalg import Matrix, Rational, clear_denominators, determinant, inverse, kernel_basis, rat
 from .plane import (
     Config6,
     _chart_columns,
@@ -149,12 +149,6 @@ def _proportionality_rows(
     return rows
 
 
-def _scaled_integers(vec: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers n and a positive denominator d with vec = n / d."""
-    d = lcm(*(x.denominator for x in vec))
-    return [x.numerator * (d // x.denominator) for x in vec], d
-
-
 def _matching_vectors(
     sextic: NodalSextic, side: str, basis: Sequence[TernaryForm]
 ) -> list[tuple[list[list[Fraction]], list[Fraction]]]:
@@ -170,7 +164,7 @@ def _matching_vectors(
         for p in config.points:
             # The Taylor rows read by chart_quadratic_part, and no others.
             rows = _chart_columns(monos, p, ((2, 0), (1, 1), (0, 2)))
-            tables.append(list(map(_scaled_integers, rows)))
+            tables.append(list(map(clear_denominators, rows)))
     else:
         if not _singular_at(sextic.form, config.points):
             raise ArithmeticError("the candidate is not singular at every configuration point")
@@ -182,10 +176,10 @@ def _matching_vectors(
             base = config.points[(i + 1) % 6]
             table = []
             for q in sample_points_on_conic(conic, base, config.points, count=3):
-                (x, y, z), _ = _scaled_integers(q.coords)
-                table.append(([x**a * y**b * z**c for a, b, c in monos], 1))
+                (xs, ys, zs), _ = integer_powers(q.coords, 6)
+                table.append(([xs[a] * ys[b] * zs[c] for a, b, c in monos], 1))
             tables.append(table)
-    coeffs = [_scaled_integers(g.coefficient_vector()) for g in (*basis, sextic.form)]
+    coeffs = [clear_denominators(g.coefficient_vector()) for g in (*basis, sextic.form)]
     out = []
     for table in tables:
         *vectors, reference = (
@@ -402,23 +396,12 @@ def _admissible_frames(form: TernaryForm, node_coords: list):
 
 
 def _singular_at(form: TernaryForm, points: list) -> bool:
-    """Exact check that every point is nonzero and all three partials vanish there.
-
-    Runs on integers: the partials are scaled by the common denominator of
-    the form's coefficients, and each point by that of its coordinates.
-    """
-    den = lcm(*(c.denominator for _, c in form.terms()))
-    partials = [[(m, int(c * den)) for m, c in form.partial(v).terms()] for v in range(3)]
-    for q in points:
-        q = [rat(c) for c in q]
-        scale = lcm(*(c.denominator for c in q))
-        x, y, z = (int(c * scale) for c in q)
-        if x == y == z == 0:
-            return False
-        for g in partials:
-            if sum(c * x**i * y**j * z**k for (i, j, k), c in g):
-                return False
-    return True
+    """Exact check that every point is nonzero and all three partials vanish there."""
+    partials = [form.partial(v) for v in range(3)]
+    return all(
+        any(rat(c) != 0 for c in q) and all(g.eval(q) == 0 for g in partials)
+        for q in points
+    )
 
 
 def _modp_resultant_x(f: TernaryForm, g: TernaryForm, p: int) -> list[int] | None:

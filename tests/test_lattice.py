@@ -73,6 +73,57 @@ def test_lines_pairwise_intersections():
         assert meets == 10
 
 
+def reference_double_sixes():
+    """The backtracking search that ``double_sixes`` replaced.
+
+    Every sixer of pairwise skew lines, in lexicographic index order; a
+    sixer whose partner (the lines meeting five of the six) is six lines
+    gives a double six, with B ordered so that A_i . B_i = 0.  The first
+    sixer of each double six found is its A.
+    """
+    lines = lines_27()
+    n = len(lines)
+    meets = [[lines[i].intersect(lines[j]) for j in range(n)] for i in range(n)]
+    sixers = []
+
+    def extend(chosen, start):
+        if len(chosen) == 6:
+            sixers.append(tuple(chosen))
+            return
+        for k in range(start, n):
+            if all(meets[c][k] == 0 for c in chosen):
+                chosen.append(k)
+                extend(chosen, k + 1)
+                chosen.pop()
+
+    extend([], 0)
+    seen = set()
+    out = []
+    for sixer in sixers:
+        partner = [j for j in range(n) if j not in sixer and sum(meets[i][j] for i in sixer) == 5]
+        if len(partner) != 6:
+            continue
+        a = [lines[i] for i in sixer]
+        b = []
+        for ai in a:
+            match = [lines[j] for j in partner if ai.intersect(lines[j]) == 0]
+            if len(match) != 1:
+                break
+            b.append(match[0])
+        else:
+            ds = DoubleSix(tuple(a), tuple(b))
+            if ds.key() not in seen:
+                seen.add(ds.key())
+                out.append(ds)
+    classical = DoubleSix(E, F).key()
+    out.sort(key=lambda d: (d.key() != classical, tuple(sorted(x.vector() for x in d.a))))
+    return out
+
+
+def test_closed_form_double_sixes_equal_the_search():
+    assert double_sixes() == reference_double_sixes()
+
+
 def test_double_six_count_and_patterns():
     sixes = double_sixes()
     assert len(sixes) == 36
