@@ -1,4 +1,4 @@
-"""GF(p) helpers for the smoothness degree count.
+"""GF(p) helpers for the smoothness degree count and the quintic net.
 
 Univariate polynomials are int lists, low degree first, coefficients
 reduced mod p.  ``torsion._modp_resultant_x`` builds each eliminant mod
@@ -6,7 +6,10 @@ p from these pieces: ``resultant_mod`` at the points t = 0 .. mn, then
 ``interpolate_mod``; ``gcd_mod`` then takes the gcd of the two
 eliminants.
 
-``gcd_mod`` proves facts in one place, the degree count of
+A mod-p answer proves a fact in two places.  The first is ``rank_mod``
+in ``association.second_model``: a minor that is nonzero mod p is a
+nonzero integer, so an integer matrix of full row rank mod p has full
+row rank over Q.  The second is ``gcd_mod`` in the degree count of
 ``torsion.smooth_elsewhere``, which ``torsion.smooth_screen`` also runs
 as its hint.  Reduction mod p preserves the two eliminants
 Res_x(fx, fy) and Res_x(fx, fz) when p divides no denominator and
@@ -23,7 +26,7 @@ from fractions import Fraction
 
 from ._poly import ptrim
 
-#: The two fixed 30-bit primes the degree count tries in turn.
+#: The two fixed 30-bit primes the degree count and the net's rank try in turn.
 SCREEN_PRIMES = (1073741789, 1073741783)
 
 
@@ -33,6 +36,25 @@ def frac_mod(x: Fraction, p: int) -> int | None:
     if den == 0:
         return None
     return x.numerator % p * pow(den, -1, p) % p
+
+
+def rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p) of an integer matrix, by Gaussian elimination."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        inv = pow(prow[c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
+        rank += 1
+    return rank
 
 
 def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:

@@ -3,10 +3,32 @@ the second plane model, and the associated configuration.
 
 Blowing up a general-position configuration gives a surface with two
 plane models.  The second one contracts, for each label i, the conic
-through the five points other than x_i; the images of those conics are
-the associated configuration.  Everything here works with rational
-points only: conics are sampled through the rational configuration
-points they already contain.
+f_i through the five points other than x_i by the net V of quintics
+double at all six points (Coble; Dolgachev & Ortland, Asterisque 165,
+1988); the images of those conics are the associated configuration.
+:func:`second_model` proves the contraction exactly in four steps:
+
+1. Products.  g_i = f_i f_(i+1) L_(i,i+1), with L_(i,i+1) the line
+   through x_i and x_(i+1) and indices mod 6, is double at all six
+   points: two of its three factors vanish at each of them.
+2. Dimension.  The 18 Taylor conditions of double points have rank 18
+   mod a prime, hence over Q, so dim V = 3.  No f_i may be a line pair
+   (that takes three collinear points), and dim V = 3 keeps the f_i
+   pairwise distinct (six points on one smooth conic give dimension 4).
+   So the g_i span V: a relation a g_0 + b g_1 + c g_2 = 0 restricted
+   to f_1 gives c = 0, and dividing by f_1 leaves a f_0 L_01 =
+   -b f_2 L_12, so a = b = 0.
+3. Basis.  Reduced from the right, the g_i give the basis that the
+   kernel of the conditions gives (``linalg.row_space_basis``), and a
+   form's coordinates in it are its entries at the identity columns F.
+4. Images.  g_(i-1) and g_i both vanish on f_i, and g_(i+1) does not,
+   so every point of f_i outside the finite base locus maps to
+   g_(i-1)[F] x g_i[F], which is nonzero as g_(i-1) and g_i are not
+   proportional: the conic is contracted at every point, not just at
+   samples.
+
+Everything here works with rational points only; torsion samples
+conics through the rational configuration points they already contain.
 """
 
 from __future__ import annotations
@@ -14,19 +36,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .forms import TernaryForm
-from .linalg import rat
+from ._modp import SCREEN_PRIMES, rank_mod
+from .forms import Mono, TernaryForm, monomials_of_degree
+from .linalg import clear_denominators, rat, row_space_basis
 from .plane import (
     Config6,
     DegenerateFiveTupleError,
     PointP2,
     conic_through,
+    integer_multiplicity_rows,
     linear_system,
 )
 
 
 class ContractionError(RuntimeError):
-    """The two sample points of a conic mapped to different images."""
+    """The quintic net does not contract a conic to a point."""
 
 
 def exceptional_conics(c: Config6) -> tuple[TernaryForm, ...]:
@@ -105,34 +129,81 @@ class DoubleSixRealization:
     associated: Config6
 
 
+def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _product(factors: Sequence[dict[Mono, int]]) -> dict[Mono, int]:
+    """The product of integer forms given as {monomial: coefficient}."""
+    out: dict[Mono, int] = {(0, 0, 0): 1}
+    for f in factors:
+        step: dict[Mono, int] = {}
+        for (a, b, c), u in out.items():
+            for (d, e, g), v in f.items():
+                m = (a + d, b + e, c + g)
+                step[m] = step.get(m, 0) + u * v
+        out = step
+    return out
+
+
+def _is_line_pair(f: dict[Mono, int]) -> bool:
+    """Whether the conic ax^2 + by^2 + cz^2 + dxy + exz + gyz, integer
+    coefficients, is reducible: the test is half the determinant of its
+    symmetric matrix [[2a, d, e], [d, 2b, g], [e, g, 2c]]."""
+    a, b, c, d, e, g = (f.get(m, 0) for m in ((2, 0, 0), (0, 2, 0), (0, 0, 2),
+                                              (1, 1, 0), (1, 0, 1), (0, 1, 1)))
+    return 4 * a * b * c + d * e * g - a * g * g - b * e * e - c * d * d == 0
+
+
 def second_model(c: Config6) -> DoubleSixRealization:
     """Contract the six exceptional conics and return the associated
-    configuration.
+    configuration, proved by the four steps of the module docstring.
 
-    Each conic is sampled in two rational points; their images under
-    the quintic system must agree projectively (this is the
-    contraction), otherwise :class:`ContractionError` is raised.
+    When neither prime of ``_modp.SCREEN_PRIMES`` shows the rank 18,
+    ``linear_system(5)`` decides the dimension exactly, and any
+    dimension but 3 raises ``ValueError``.  A conic that is a line pair
+    raises :class:`ContractionError`, as would products that do not span
+    the net or a zero cross product, which the proof rules out.
     """
     conics = exceptional_conics(c)
-    system = linear_system(5, [(p, 2) for p in c.points])
-    if system.dimension != 3:
-        raise ValueError(
-            f"quintic system has dimension {system.dimension}, expected 3; "
-            "the configuration is degenerate"
+    rows = [row for p in c.points for row in integer_multiplicity_rows(5, p, 2)]
+    if all(rank_mod(rows, prime) < 18 for prime in SCREEN_PRIMES):
+        dimension = linear_system(5, [(p, 2) for p in c.points]).dimension
+        if dimension != 3:
+            raise ValueError(
+                f"quintic system has dimension {dimension}, expected 3; "
+                "the configuration is degenerate"
+            )
+    factors = []
+    for i, f in enumerate(conics):
+        monos, coeffs = zip(*f.terms())
+        factors.append(dict(zip(monos, clear_denominators(coeffs)[0])))
+        if _is_line_pair(factors[i]):
+            raise ContractionError(
+                f"conic {i + 1} is a line pair: three configuration points are collinear"
+            )
+    ints = [clear_denominators(rep)[0] for rep in c.reps]
+    quintics = monomials_of_degree(5)
+    products = []
+    for i in range(6):
+        j = (i + 1) % 6
+        line = dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), _cross(ints[i], ints[j])))
+        g = _product([factors[i], factors[j], line])
+        products.append([g.get(m, 0) for m in quintics])
+    basis, free = row_space_basis(products)
+    if len(free) != 3:
+        raise ContractionError(
+            f"the products f_i f_(i+1) L_(i,i+1) span {len(free)} dimensions of the quintic net"
         )
-    qs = system.basis
+    coords = [[g[k] for k in free] for g in products]
     images = []
     for i in range(6):
-        base = c.points[(i + 1) % 6]  # a configuration point on f_i
-        samples = sample_points_on_conic(conics[i], base, c.points, count=2)
-        vecs = [tuple(q.eval(p.coords) for q in qs) for p in samples]
-        if any(all(x == 0 for x in v) for v in vecs):
-            raise ContractionError(f"conic {i + 1} sample hit the base locus")
-        p0, p1 = PointP2(vecs[0]), PointP2(vecs[1])
-        if p0 != p1:
+        image = _cross(coords[i - 1], coords[i])
+        if not any(image):
             raise ContractionError(
-                f"conic {i + 1} images disagree: {p0!r} vs {p1!r}"
+                f"conic {i + 1} has no image: the two products through it are proportional"
             )
-        images.append(p0)
+        images.append(PointP2(image))
     associated = Config6([p.coords for p in images])
-    return DoubleSixRealization(c, conics, tuple(qs), associated)
+    qs = tuple(TernaryForm.from_coefficient_vector(5, v) for v in basis)
+    return DoubleSixRealization(c, conics, qs, associated)

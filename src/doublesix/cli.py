@@ -92,6 +92,8 @@ def _load_config(path: str | None) -> Config6:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"invalid configuration in {path}: not UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+        raise InputError(f"invalid configuration in {path}: {exc}") from exc
     try:
         return Config6.from_json(payload)
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
@@ -108,6 +110,8 @@ def _load_form(path: str) -> TernaryForm:
         raise InputError(f"invalid form in {path}: invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"invalid form in {path}: not UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+        raise InputError(f"invalid form in {path}: {exc}") from exc
     try:
         return TernaryForm.from_json(payload)
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
@@ -181,7 +185,7 @@ def _cmd_second_model(args: argparse.Namespace) -> Report:
         checks.append(
             CheckResult(
                 "contraction",
-                "sampled conic images contract to well-defined points",
+                "the quintic net contracts each exceptional conic to a point",
                 False,
                 {"error": str(exc)},
             )

@@ -169,6 +169,27 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+def row_space_basis(rows: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """The basis of the row space that :func:`kernel_basis` returns for
+    every matrix whose kernel is that row space, and the columns where
+    it is the identity, ascending.
+
+    ``kernel_basis(M)`` puts the identity on the complement F of the
+    greedy pivot columns of M; a basis of ker M with the identity on F
+    is unique.  The greedy pivots are the lex-first column basis of M,
+    so by matroid duality F is the lex-last column basis of any matrix
+    whose row space is ker M.  Elimination with the columns reversed
+    finds exactly that basis greedily from the right, and each reduced
+    row scaled to 1 at its pivot has the identity on F.  One vector per
+    pivot, in ascending pivot column order; an empty list means the
+    rows are all zero.
+    """
+    n = len(rows[0])
+    red, pivots = _rref([list(reversed(r)) for r in rows])
+    basis = [tuple(Fraction(x, row[c]) for x in reversed(row)) for row, c in zip(red, pivots)]
+    return basis[::-1], [n - 1 - c for c in reversed(pivots)]
+
+
 def _bareiss_int(a: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix (Bareiss)."""
     n = len(a)

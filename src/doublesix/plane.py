@@ -183,39 +183,60 @@ def conic_through(pts: Sequence[PointP2]) -> TernaryForm:
 # -- linear systems with assigned base multiplicities ----------------
 
 
-def _chart_columns(
+def _integer_chart_columns(
     monos: Sequence[Mono], p: PointP2, orders: Sequence[tuple[int, int]]
-) -> list[list[Fraction]]:
-    """Coefficient of u^i v^j in x^m(u e_a + v e_b + w p), one list per
-    (i, j) in orders, one entry per monomial m.
+) -> tuple[list[list[int]], int]:
+    """The rows of :func:`_chart_columns` for monomials of one degree n,
+    row (i, j) scaled by d^(n - i - j) to integers, and d.
 
     The chart axis c is the pivot (first nonzero coordinate) of p and
-    a < b are the other two, so the vertex (0:0:1) maps to p.
-
-    The entry is C(m_a, i) C(m_b, j) p_a^(m_a - i) p_b^(m_b - j) p_c^(m_c).
+    a < b are the other two, so the vertex (0:0:1) maps to p.  The
+    Taylor coefficient of u^i v^j in x^m(u e_a + v e_b + w p) is
+    C(m_a, i) C(m_b, j) p_a^(m_a - i) p_b^(m_b - j) p_c^(m_c).
     ``PointP2`` scales the pivot to p_c = 1, so with p = (n_a, n_b, n_c) / d
-    cleared of denominators, n_c = d and the entry is the single
-    ``Fraction`` C(m_a, i) C(m_b, j) n_a^(m_a - i) n_b^(m_b - j) /
-    d^(m_a - i + m_b - j); it normalises to the same value as the product.
+    cleared of denominators, n_c = d, and since m_a + m_b + m_c = n the
+    scaled entry is the integer C(m_a, i) C(m_b, j) n_a^(m_a - i)
+    n_b^(m_b - j) d^(m_c).
     """
     c = next(i for i in range(3) if p.coords[i] != 0)
     a, b = (i for i in range(3) if i != c)
-    top = max((sum(m) for m in monos), default=0)
-    powers, _ = integer_powers(p.coords, top)
+    powers, d = integer_powers(p.coords, sum(monos[0]) if monos else 0)
     na, nb, dc = powers[a], powers[b], powers[c]  # dc[e] = d^e, as p_c = 1
-    zero = Fraction(0)
-    return [
+    rows = [
         [
-            Fraction(
-                comb(m[a], i) * comb(m[b], j) * na[m[a] - i] * nb[m[b] - j],
-                dc[m[a] - i + m[b] - j],
-            )
+            comb(m[a], i) * comb(m[b], j) * na[m[a] - i] * nb[m[b] - j] * dc[m[c]]
             if i <= m[a] and j <= m[b]
-            else zero
+            else 0
             for m in monos
         ]
         for i, j in orders
     ]
+    return rows, d
+
+
+def _chart_columns(
+    monos: Sequence[Mono], p: PointP2, orders: Sequence[tuple[int, int]]
+) -> list[list[Fraction]]:
+    """Coefficient of u^i v^j in x^m(u e_a + v e_b + w p), one list per
+    (i, j) in orders, one entry per monomial m of one degree n.
+
+    Each entry is one ``Fraction``: the integer of
+    :func:`_integer_chart_columns` over d^(n - i - j), which normalises
+    to the Taylor coefficient.  An entry is nonzero only when i + j <= n.
+    """
+    rows, d = _integer_chart_columns(monos, p, orders)
+    n = sum(monos[0]) if monos else 0
+    zero = Fraction(0)
+    out = []
+    for row, (i, j) in zip(rows, orders):
+        scale = d ** max(n - i - j, 0)  # a row with i + j > n is zero
+        out.append([Fraction(x, scale) if x else zero for x in row])
+    return out
+
+
+def _taylor_orders(mult: int) -> list[tuple[int, int]]:
+    """The chart monomials u^i v^j of order i + j below mult."""
+    return [(i, s - i) for s in range(mult) for i in range(s, -1, -1)]
 
 
 def multiplicity_rows(degree: int, p: PointP2, mult: int) -> list[list[Fraction]]:
@@ -228,8 +249,14 @@ def multiplicity_rows(degree: int, p: PointP2, mult: int) -> list[list[Fraction]
     C(m_a, i) C(m_b, j) p_a^(m_a - i) p_b^(m_b - j) p_c^(m_c), where c
     is the first nonzero coordinate of p and a < b are the other two.
     """
-    orders = [(i, s - i) for s in range(mult) for i in range(s, -1, -1)]
-    return _chart_columns(monomials_of_degree(degree), p, orders)
+    return _chart_columns(monomials_of_degree(degree), p, _taylor_orders(mult))
+
+
+def integer_multiplicity_rows(degree: int, p: PointP2, mult: int) -> list[list[int]]:
+    """The rows of :func:`multiplicity_rows`, row (i, j) scaled by
+    d^(degree - i - j) to integers (see :func:`_integer_chart_columns`);
+    nonzero row scales leave every minor's vanishing unchanged."""
+    return _integer_chart_columns(monomials_of_degree(degree), p, _taylor_orders(mult))[0]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from test_integer_evaluation import near_degenerate_configs
+
+from doublesix import association
 from doublesix.association import (
+    ContractionError,
+    DoubleSixRealization,
     exceptional_conics,
     sample_points_on_conic,
     second_model,
@@ -16,9 +21,55 @@ from doublesix.plane import (
     Config6,
     PointP2,
     is_general_position,
+    linear_system,
     projective_equivalence,
     random_general_config,
 )
+
+
+def reference_second_model(c):
+    """The former ``second_model``: the kernel of the 18 x 21 conditions
+    of ``linear_system(5)``, and two sampled points per conic whose
+    images must agree."""
+    conics = exceptional_conics(c)
+    system = linear_system(5, [(p, 2) for p in c.points])
+    if system.dimension != 3:
+        raise ValueError(
+            f"quintic system has dimension {system.dimension}, expected 3; "
+            "the configuration is degenerate"
+        )
+    qs = system.basis
+    images = []
+    for i in range(6):
+        base = c.points[(i + 1) % 6]  # a configuration point on f_i
+        samples = sample_points_on_conic(conics[i], base, c.points, count=2)
+        vecs = [tuple(q.eval(p.coords) for q in qs) for p in samples]
+        if any(all(x == 0 for x in v) for v in vecs):
+            raise ContractionError(f"conic {i + 1} sample hit the base locus")
+        p0, p1 = PointP2(vecs[0]), PointP2(vecs[1])
+        if p0 != p1:
+            raise ContractionError(f"conic {i + 1} images disagree: {p0!r} vs {p1!r}")
+        images.append(p0)
+    associated = Config6([p.coords for p in images])
+    return DoubleSixRealization(c, conics, tuple(qs), associated)
+
+
+#: Six points of the smooth conic xy + yz + zx = 0, no three collinear.
+ON_A_CONIC = Config6([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, -1), (3, 6, -2), (1, -2, -2)])
+#: Points 1, 2, 3 lie on z = 0.
+COLLINEAR = Config6([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1), (1, 2, 3), (2, 5, 1)])
+
+
+def differential_configs():
+    """REF6, seeded configurations of bound 20 and 1000, ~60-bit rows and
+    near-degenerate ones, each followed by its associated configuration."""
+    rng = random.Random("second-model-differential")
+    configs = [REF6]
+    configs += [random_general_config(rng, bound=20) for _ in range(3)]
+    configs += [random_general_config(rng, bound=1000) for _ in range(3)]
+    configs.append(random_general_config(rng, bound=2**60))
+    configs += near_degenerate_configs(rng, 2)
+    return [d for c in configs for d in (c, second_model(c).associated)]
 
 
 def conic_matrix(f):
@@ -183,3 +234,59 @@ def test_contraction_points_match_conic_labels():
             images.append(PointP2(v))
         assert len(set(images)) == 1
         assert images[0] == realization.associated.points[i]
+
+
+def test_second_model_matches_the_kernel_and_sampling_reference():
+    for c in differential_configs():
+        got, want = second_model(c), reference_second_model(c)
+        assert got.quintic_basis == want.quintic_basis
+        assert got.associated.to_json() == want.associated.to_json()
+        assert got.conics == want.conics
+
+
+def test_second_model_builds_no_linear_system(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return linear_system(*args, **kwargs)
+
+    monkeypatch.setattr(association, "linear_system", counting)
+    second_model(REF6)
+    assert calls == []
+
+
+def test_a_declining_rank_takes_the_exact_route(monkeypatch):
+    configs = [REF6, random_general_config(random.Random("exact-route"), bound=1000)]
+    fast = [second_model(c) for c in configs]
+    ranks, systems = [], []
+
+    def declining(rows, p):
+        ranks.append(p)
+        return 17
+
+    def counting(*args, **kwargs):
+        systems.append(args)
+        return linear_system(*args, **kwargs)
+
+    monkeypatch.setattr(association, "rank_mod", declining)
+    monkeypatch.setattr(association, "linear_system", counting)
+    for c, want in zip(configs, fast):
+        assert second_model(c) == want
+    assert len(ranks) == 2 * len(configs)  # both primes tried
+    assert len(systems) == len(configs)
+
+
+def test_six_points_on_a_conic_have_a_net_of_dimension_four():
+    assert all(f == exceptional_conics(ON_A_CONIC)[0] for f in exceptional_conics(ON_A_CONIC))
+    message = "quintic system has dimension 4, expected 3"
+    with pytest.raises(ValueError, match=message):
+        second_model(ON_A_CONIC)
+    with pytest.raises(ValueError, match=message):
+        reference_second_model(ON_A_CONIC)
+
+
+def test_a_collinear_configuration_names_a_line_pair():
+    # The conics through points 1, 2, 3 contain the line z = 0.
+    with pytest.raises(ContractionError, match="conic 4 is a line pair"):
+        second_model(COLLINEAR)

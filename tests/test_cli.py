@@ -96,9 +96,12 @@ VALID_ROWS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"]
         VALID_ROWS + [["1e5", "2", "3"]],
         VALID_ROWS,
         b"\xff\xfe" + json.dumps(COLLINEAR_PAYLOAD).encode(),
+        b'{"points": [[' + b"1" * 5000 + b", 0, 0]]}",
+        b"[" * 200000 + b"]" * 200000,
     ],
     ids=["float-row", "letter", "null-row", "null-entry", "zero-denominator", "two-entries",
-         "bool-entry", "exponent-string", "five-points", "not-utf-8"],
+         "bool-entry", "exponent-string", "five-points", "not-utf-8", "long-integer",
+         "deep-nesting"],
 )
 def test_hostile_configurations_exit_two(tmp_path, capsys, points):
     path = tmp_path / "hostile.json"
@@ -219,9 +222,12 @@ def test_torsion_form_must_be_a_nonzero_sextic(tmp_path, capsys, records, messag
         json.dumps([[6, 0, 0, "2E3"]]),
         "[[6, 0, 0, ",
         b"\xff\xfe[[6, 0, 0, 1]]",
+        b"[[6, 0, 0, " + b"1" * 5000 + b"]]",
+        b"[" * 200000 + b"]" * 200000,
     ],
     ids=["float-exponent", "bool-exponent", "half-exponent", "dict", "zero-denominator",
-         "two-entry-term", "exponent-string", "not-json", "not-utf-8"],
+         "two-entry-term", "exponent-string", "not-json", "not-utf-8", "long-integer",
+         "deep-nesting"],
 )
 def test_hostile_forms_exit_two(tmp_path, capsys, payload):
     path = tmp_path / "form.json"

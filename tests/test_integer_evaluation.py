@@ -9,7 +9,7 @@ the two must agree exactly, and so must everything built on them.
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -170,6 +170,19 @@ def test_veronese_rows_and_chart_columns_match_the_fraction_reference():
             got = plane._chart_columns(monos, p, orders)
             assert got == reference_chart_columns(monos, p, orders)
             assert all(type(x) is Fraction for row in got for x in row)
+
+
+def test_integer_multiplicity_rows_are_the_rows_scaled_by_powers_of_d():
+    for c in seeded_configs():
+        for p in c.points:
+            d = lcm(*(x.denominator for x in p.coords))
+            for degree in (2, 5, 6):
+                rows = plane.multiplicity_rows(degree, p, 3)
+                orders = [(i, s - i) for s in range(3) for i in range(s, -1, -1)]
+                scaled = plane.integer_multiplicity_rows(degree, p, 3)
+                for row, got, (i, j) in zip(rows, scaled, orders):
+                    assert all(type(x) is int for x in got)
+                    assert got == [x * d ** (degree - i - j) for x in row]
 
 
 def test_second_model_and_linear_systems_match_the_fraction_paths(monkeypatch):

@@ -11,7 +11,17 @@ from itertools import combinations
 
 import pytest
 
-from doublesix.linalg import Matrix, determinant, inverse, kernel_basis, rank, rat, solve
+from doublesix.linalg import (
+    Matrix,
+    _rref,
+    determinant,
+    inverse,
+    kernel_basis,
+    rank,
+    rat,
+    row_space_basis,
+    solve,
+)
 from doublesix.plane import REF6, multiplicity_rows, random_general_config
 
 PRIMES = (1073741789, 1073741783, 1073741741)
@@ -270,3 +280,34 @@ def test_kernel_basis_matches_the_fraction_reference():
         got = kernel_basis(m)
         assert got == reference_kernel_basis(m)
         assert all(isinstance(x, Fraction) for v in got for x in v)
+
+
+def test_row_space_basis_is_the_kernel_basis_of_its_conditions():
+    # kernel_basis(m) is the basis of ker m with the identity on the
+    # free columns of m; any spanning rows of ker m must give it back.
+    rng = random.Random("row-space-basis")
+    entries = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 3), Fraction(-5, 2))
+    free_sets, tested = set(), 0
+    while tested < 1000:
+        nrows, ncols = rng.randint(1, 5), rng.randint(2, 7)
+        m = Matrix([[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)])
+        kernel = kernel_basis(m)
+        if not kernel:
+            continue
+        # More rows than the kernel's dimension, each a random combination.
+        rows = [
+            [sum((t * x for t, x in zip(ts, col)), Fraction(0)) for col in zip(*kernel)]
+            for ts in ([rng.randint(-3, 3) for _ in kernel] for _ in range(len(kernel) + 1))
+        ]
+        if rank(Matrix(rows)) != len(kernel):
+            continue
+        pivots = set(_rref(m.rows)[1])
+        free = [j for j in range(ncols) if j not in pivots]
+        assert row_space_basis(rows) == (kernel, free)
+        free_sets.add(tuple(free))
+        tested += 1
+    assert len(free_sets) > 50
+
+
+def test_row_space_basis_of_zero_rows_is_empty():
+    assert row_space_basis([[0, 0, 0], [0, 0, 0]]) == ([], [])

@@ -5,10 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from doublesix._modp import SCREEN_PRIMES, frac_mod, gcd_mod, interpolate_mod, resultant_mod
+from doublesix._modp import (
+    SCREEN_PRIMES,
+    frac_mod,
+    gcd_mod,
+    interpolate_mod,
+    rank_mod,
+    resultant_mod,
+)
 from doublesix._poly import peval, pgcd, pmul
 from doublesix.forms import TernaryForm
-from doublesix.linalg import Matrix, determinant
+from doublesix.linalg import Matrix, determinant, rank
+from doublesix.plane import REF6, integer_multiplicity_rows, random_general_config
 from doublesix.torsion import _modp_resultant_x
 
 
@@ -104,3 +112,26 @@ def test_modp_resultant_x_needs_a_prime_above_the_eliminant_degree():
         with pytest.raises(ValueError, match="needs p > 25"):
             _modp_resultant_x(f, g, p)
     assert len(_modp_resultant_x(f, g, 29)) == 26
+
+
+def test_rank_mod_is_the_rational_rank_unless_p_divides_a_minor():
+    rng = random.Random("modp-rank")
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, -2, 3, 10**12)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        for p in SCREEN_PRIMES:
+            assert rank_mod(rows, p) == rank(Matrix(rows))
+    p = SCREEN_PRIMES[0]
+    # p divides the only 2 x 2 minor; the rank drops mod p, never rises.
+    assert rank(Matrix([[1, 2], [3, 6 + p]])) == 2
+    assert rank_mod([[1, 2], [3, 6 + p]], p) == 1
+    assert rank_mod([], p) == 0
+
+
+def test_the_quintic_conditions_have_rank_18_mod_p():
+    for c in [REF6] + [random_general_config(random.Random(s), bound=1000) for s in range(3)]:
+        rows = [row for q in c.points for row in integer_multiplicity_rows(5, q, 2)]
+        assert len(rows) == 18
+        assert rank(Matrix(rows)) == 18
+        assert all(rank_mod(rows, p) == 18 for p in SCREEN_PRIMES)
