@@ -4,8 +4,9 @@ Everything here is deterministic: elimination always picks the first
 nonzero pivot in column order, so kernels, determinants and echelon
 forms are byte-for-byte reproducible for a given input.  Scalars are
 ``fractions.Fraction`` throughout (auto-reduced, positive denominator);
-elimination itself runs on integer rows with denominators cleared.
-:func:`clear_denominators` does that for elimination and determinants
+elimination itself runs on integer rows with denominators cleared, so
+:func:`kernel_basis` and :func:`row_space_basis` take rows of ints or
+Fractions as they are.  :func:`clear_denominators` does the clearing
 here and for the integer evaluation in ``forms``, ``plane`` and ``torsion``.
 """
 
@@ -103,14 +104,14 @@ def clear_denominators(vec: Collection[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in vec], d
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
+def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
     """The row scaled to coprime integers (its primitive part)."""
     ints, _ = clear_denominators(row)
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+def _rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free reduced row echelon form; returns (rows, pivot columns).
 
     Gauss-Jordan elimination on integer rows, each kept primitive by
@@ -149,19 +150,21 @@ def rank(m: Matrix) -> int:
     return len(_rref(m.rows)[1])
 
 
-def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel {v : m v = 0}.
+def kernel_basis(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel {v : M v = 0} of the matrix M with these
+    rows, of ints or Fractions (at least one row).
 
     Derived from the reduced echelon form: one vector per free column,
     with a 1 in the free slot.  Deterministic for a given input; an
     empty list means the kernel is trivial.
     """
-    red, pivots = _rref(m.rows)
+    ncols = len(rows[0])
+    red, pivots = _rref(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [Fraction(0)] * m.ncols
+        v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = Fraction(-red[r][f], red[r][c])

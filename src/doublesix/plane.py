@@ -17,10 +17,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Iterable, Sequence
 
 from .forms import Mono, TernaryForm, integer_powers, monomials_of_degree
-from .linalg import Matrix, determinant, inverse, kernel_basis, rat
+from .linalg import Matrix, clear_denominators, determinant, inverse, kernel_basis, rat
 from .perms import Perm, all_perms
 
 
@@ -151,8 +152,8 @@ def is_general_position(c: Config6) -> GeneralPositionVerdict:
         if determinant(Matrix(rows)) == 0:
             labels = tuple(i + 1 for i in triple)
             return GeneralPositionVerdict(False, collinear_triple=labels)
-    ver = Matrix([veronese_row(row, 2) for row in c.reps])
-    if determinant(ver) == 0:
+    ver = [veronese_row(row, 2) for row in c.reps]
+    if determinant(Matrix(ver)) == 0:
         coeffs = kernel_basis(ver)[0]
         conic = TernaryForm.from_coefficient_vector(2, coeffs).canonical()
         return GeneralPositionVerdict(False, conic=conic)
@@ -171,8 +172,7 @@ def conic_through(pts: Sequence[PointP2]) -> TernaryForm:
     """
     if len(pts) != 5:
         raise ValueError("a conic is determined by five points")
-    ver = Matrix([veronese_row(p, 2) for p in pts])
-    basis = kernel_basis(ver)
+    basis = kernel_basis([veronese_row(p, 2) for p in pts])
     if len(basis) != 1:
         raise DegenerateFiveTupleError(
             f"five-point system has a {len(basis)}-dimensional space of conics"
@@ -186,8 +186,9 @@ def conic_through(pts: Sequence[PointP2]) -> TernaryForm:
 def _integer_chart_columns(
     monos: Sequence[Mono], p: PointP2, orders: Sequence[tuple[int, int]]
 ) -> tuple[list[list[int]], int]:
-    """The rows of :func:`_chart_columns` for monomials of one degree n,
-    row (i, j) scaled by d^(n - i - j) to integers, and d.
+    """Coefficient of u^i v^j in x^m(u e_a + v e_b + w p), one row per
+    (i, j) in orders and one entry per monomial m of one degree n, row
+    (i, j) scaled by d^(n - i - j) to integers; and d.
 
     The chart axis c is the pivot (first nonzero coordinate) of p and
     a < b are the other two, so the vertex (0:0:1) maps to p.  The
@@ -196,7 +197,7 @@ def _integer_chart_columns(
     ``PointP2`` scales the pivot to p_c = 1, so with p = (n_a, n_b, n_c) / d
     cleared of denominators, n_c = d, and since m_a + m_b + m_c = n the
     scaled entry is the integer C(m_a, i) C(m_b, j) n_a^(m_a - i)
-    n_b^(m_b - j) d^(m_c).
+    n_b^(m_b - j) d^(m_c).  An entry is nonzero only when i + j <= n.
     """
     c = next(i for i in range(3) if p.coords[i] != 0)
     a, b = (i for i in range(3) if i != c)
@@ -214,48 +215,21 @@ def _integer_chart_columns(
     return rows, d
 
 
-def _chart_columns(
-    monos: Sequence[Mono], p: PointP2, orders: Sequence[tuple[int, int]]
-) -> list[list[Fraction]]:
-    """Coefficient of u^i v^j in x^m(u e_a + v e_b + w p), one list per
-    (i, j) in orders, one entry per monomial m of one degree n.
-
-    Each entry is one ``Fraction``: the integer of
-    :func:`_integer_chart_columns` over d^(n - i - j), which normalises
-    to the Taylor coefficient.  An entry is nonzero only when i + j <= n.
-    """
-    rows, d = _integer_chart_columns(monos, p, orders)
-    n = sum(monos[0]) if monos else 0
-    zero = Fraction(0)
-    out = []
-    for row, (i, j) in zip(rows, orders):
-        scale = d ** max(n - i - j, 0)  # a row with i + j > n is zero
-        out.append([Fraction(x, scale) if x else zero for x in row])
-    return out
-
-
 def _taylor_orders(mult: int) -> list[tuple[int, int]]:
     """The chart monomials u^i v^j of order i + j below mult."""
     return [(i, s - i) for s in range(mult) for i in range(s, -1, -1)]
 
 
-def multiplicity_rows(degree: int, p: PointP2, mult: int) -> list[list[Fraction]]:
+def integer_multiplicity_rows(degree: int, p: PointP2, mult: int) -> list[list[int]]:
     """Linear conditions on a degree-d coefficient vector forcing
     multiplicity >= mult at p: one row per chart monomial u^i v^j of
     order i + j below mult, i.e. mult(mult+1)/2 rows.
 
-    Row (i, j) holds, for each monomial x^m, its coefficient of u^i v^j
-    in the chart u e_a + v e_b + w p at p: the Taylor coefficient
-    C(m_a, i) C(m_b, j) p_a^(m_a - i) p_b^(m_b - j) p_c^(m_c), where c
-    is the first nonzero coordinate of p and a < b are the other two.
+    Row (i, j) holds, for each monomial x^m, its Taylor coefficient of
+    u^i v^j in the chart at p, scaled by d^(degree - i - j) to an integer
+    (see :func:`_integer_chart_columns`); nonzero row scales leave the
+    kernel and every minor's vanishing unchanged.
     """
-    return _chart_columns(monomials_of_degree(degree), p, _taylor_orders(mult))
-
-
-def integer_multiplicity_rows(degree: int, p: PointP2, mult: int) -> list[list[int]]:
-    """The rows of :func:`multiplicity_rows`, row (i, j) scaled by
-    d^(degree - i - j) to integers (see :func:`_integer_chart_columns`);
-    nonzero row scales leave every minor's vanishing unchanged."""
     return _integer_chart_columns(monomials_of_degree(degree), p, _taylor_orders(mult))[0]
 
 
@@ -279,8 +253,8 @@ def linear_system(
 
     A point of multiplicity m imposes m(m+1)/2 conditions: every Taylor
     coefficient of order below m at the point, read in the chart of
-    :func:`multiplicity_rows`, must vanish.  The basis comes from the
-    kernel of the stacked condition matrix and is deterministic.
+    :func:`integer_multiplicity_rows`, must vanish.  The basis comes from
+    the kernel of the stacked integer condition rows and is deterministic.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
@@ -288,11 +262,11 @@ def linear_system(
         if m < 1:
             raise ValueError("multiplicities must be positive")
     monos = monomials_of_degree(degree)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for p, m in conditions:
-        rows.extend(multiplicity_rows(degree, p, m))
+        rows.extend(integer_multiplicity_rows(degree, p, m))
     if rows:
-        vectors = kernel_basis(Matrix(rows))
+        vectors = kernel_basis(rows)
     else:
         n = len(monos)
         vectors = [
@@ -325,14 +299,16 @@ def chart_coefficients(f: TernaryForm, p: PointP2, order: int) -> tuple[Fraction
     (order+1)-tuple of u^i v^(order-i) coefficients, i descending.
 
     These are the Taylor coefficients of f at p in the chart
-    u e_a + v e_b + w p (see :func:`multiplicity_rows`).
+    u e_a + v e_b + w p (see :func:`_integer_chart_columns`).  With f's
+    coefficients cleared to integers over den, each is one integer dot
+    product with a row of that function over den * d^(n - order).
     """
     terms = f.terms()
+    nums, den = clear_denominators([c for _, c in terms])
     orders = [(i, order - i) for i in range(order, -1, -1)]
-    columns = _chart_columns([m for m, _ in terms], p, orders)
-    return tuple(
-        sum((c * x for (_, c), x in zip(terms, col)), Fraction(0)) for col in columns
-    )
+    rows, d = _integer_chart_columns([m for m, _ in terms], p, orders)
+    scale = den * d ** max(f.degree - order, 0)  # rows above the degree are zero
+    return tuple(Fraction(sum(map(mul, nums, row)), scale) for row in rows)
 
 
 def chart_quadratic_part(f: TernaryForm, p: PointP2) -> tuple[Fraction, Fraction, Fraction]:

@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 from . import _modp
 from ._poly import pdiv_exact, pgcd, pprimitive, ptrim
-from .association import exceptional_conics, sample_points_on_conic
+from .association import _is_line_pair, exceptional_conics, sample_points_on_conic
 from .forms import (
     DegenerateEliminationError,
     TernaryForm,
@@ -41,7 +41,7 @@ from .forms import (
 from .linalg import Matrix, Rational, clear_denominators, determinant, inverse, kernel_basis, rat
 from .plane import (
     Config6,
-    _chart_columns,
+    _integer_chart_columns,
     is_general_position,
     linear_system,
     tangent_cone,
@@ -162,16 +162,17 @@ def _matching_vectors(
     monos = monomials_of_degree(6)
     if side == "E":
         for p in config.points:
-            # The Taylor rows read by chart_quadratic_part, and no others.
-            rows = _chart_columns(monos, p, ((2, 0), (1, 1), (0, 2)))
-            tables.append(list(map(clear_denominators, rows)))
+            # The order-2 Taylor rows, those chart_quadratic_part reads, over
+            # d^(6 - 2): a node's vector is the chart quadric.
+            rows, d = _integer_chart_columns(monos, p, ((2, 0), (1, 1), (0, 2)))
+            tables.append([(row, d**4) for row in rows])
     else:
         if not _singular_at(sextic.form, config.points):
             raise ArithmeticError("the candidate is not singular at every configuration point")
         for i, conic in enumerate(exceptional_conics(config)):
-            hessian = [[conic.partial(a).partial(b).coefficient((0, 0, 0)) for b in range(3)]
-                       for a in range(3)]
-            if determinant(Matrix(hessian)) == 0:
+            # The Hessian determinant is twice the line-pair discriminant.
+            conic_monos, conic_coeffs = zip(*conic.terms())
+            if _is_line_pair(dict(zip(conic_monos, clear_denominators(conic_coeffs)[0]))):
                 raise ValueError(f"exceptional conic {i + 1} is singular")
             base = config.points[(i + 1) % 6]
             table = []
@@ -204,8 +205,8 @@ def torsion_rank(sextic: NodalSextic, side: str) -> TorsionRank:
     dotted with the rows of one integer table.
 
     * At a node p, the rows are the (2, 0), (1, 1) and (0, 2) Taylor rows
-      of the chart at p (those of ``multiplicity_rows`` of that order),
-      so g's vector is its chart quadric.
+      of the chart at p (those of ``integer_multiplicity_rows`` of that
+      order, over d^4), so g's vector is its chart quadric.
     * On conic C, the rows are the sextic monomials at three rational
       points P_1, P_2, P_3 of C off the configuration points, found by
       ``sample_points_on_conic``, so g's vector is (g(P_1), g(P_2),
@@ -237,7 +238,7 @@ def torsion_rank(sextic: NodalSextic, side: str) -> TorsionRank:
     rows: list[list[Rational]] = []
     for vectors, reference in _matching_vectors(sextic, side, system.basis):
         rows.extend(_proportionality_rows(vectors, reference))
-    kernel = kernel_basis(Matrix(rows))
+    kernel = kernel_basis(rows)
     basis = []
     for vec in kernel:
         g = TernaryForm.zero(6)
@@ -369,8 +370,9 @@ def _admissible_frames(form: TernaryForm, node_coords: list):
     which the projection vertex avoids the curve, the eliminations stay
     proper, and the nodes project to distinct points.
     """
-    for transform in _coordinate_changes():
-        moved = form.substitute(transform)
+    for index, transform in enumerate(_coordinate_changes()):
+        # Frame 0 is the identity, under which the form is its own image.
+        moved = form.substitute(transform) if index else form
         if (
             moved.coefficient((6, 0, 0)) == 0
             or moved.coefficient((5, 1, 0)) == 0

@@ -1,10 +1,13 @@
 """Integer evaluation against the Fraction paths it replaced.
 
-``TernaryForm.eval``, ``plane.veronese_row`` and ``plane._chart_columns``
-clear denominators once, sum integer products and form one ``Fraction``
-per value.  The references below are their former bodies, one
-``Fraction`` product and power per term; since ``Fraction`` normalises,
-the two must agree exactly, and so must everything built on them.
+``TernaryForm.eval`` and ``plane.veronese_row`` clear denominators once,
+sum integer products and form one ``Fraction`` per value;
+``plane._integer_chart_columns`` gives the Taylor rows of a chart as
+integers, row (i, j) scaled by d^(n - i - j).  The references below are
+the former Fraction bodies, one ``Fraction`` product and power per term.
+Since ``Fraction`` normalises, the values must agree exactly with the
+references (the chart rows once divided by their scale), and so must
+everything built on them.
 """
 
 import random
@@ -167,9 +170,22 @@ def test_veronese_rows_and_chart_columns_match_the_fraction_reference():
         for degree in range(7):
             assert plane.veronese_row(p.coords, degree) == reference_veronese_row(p.coords, degree)
             monos = monomials_of_degree(degree)
-            got = plane._chart_columns(monos, p, orders)
+            rows, d = plane._integer_chart_columns(monos, p, orders)
+            assert d == lcm(*(x.denominator for x in p.coords))
+            assert all(type(x) is int for row in rows for x in row)
+            # A row with i + j above the degree is zero, whatever its scale.
+            got = [
+                [Fraction(x, d ** max(degree - i - j, 0)) for x in row]
+                for row, (i, j) in zip(rows, orders)
+            ]
             assert got == reference_chart_columns(monos, p, orders)
-            assert all(type(x) is Fraction for row in got for x in row)
+
+
+def fraction_multiplicity_rows(degree, p, mult):
+    """The Fraction Taylor rows that ``linear_system`` eliminated before
+    its conditions became integer rows."""
+    orders = [(i, s - i) for s in range(mult) for i in range(s, -1, -1)]
+    return reference_chart_columns(monomials_of_degree(degree), p, orders)
 
 
 def test_integer_multiplicity_rows_are_the_rows_scaled_by_powers_of_d():
@@ -177,7 +193,7 @@ def test_integer_multiplicity_rows_are_the_rows_scaled_by_powers_of_d():
         for p in c.points:
             d = lcm(*(x.denominator for x in p.coords))
             for degree in (2, 5, 6):
-                rows = plane.multiplicity_rows(degree, p, 3)
+                rows = fraction_multiplicity_rows(degree, p, 3)
                 orders = [(i, s - i) for s in range(3) for i in range(s, -1, -1)]
                 scaled = plane.integer_multiplicity_rows(degree, p, 3)
                 for row, got, (i, j) in zip(rows, scaled, orders):
@@ -197,7 +213,7 @@ def test_second_model_and_linear_systems_match_the_fraction_paths(monkeypatch):
         ))
     monkeypatch.setattr(TernaryForm, "eval", reference_eval)
     monkeypatch.setattr(plane, "veronese_row", reference_veronese_row)
-    monkeypatch.setattr(plane, "_chart_columns", reference_chart_columns)
+    monkeypatch.setattr(plane, "integer_multiplicity_rows", fraction_multiplicity_rows)
     for c, got in zip(configs, fast):
         double = [(p, 2) for p in c.points]
         want = (

@@ -22,7 +22,7 @@ from doublesix.linalg import (
     row_space_basis,
     solve,
 )
-from doublesix.plane import REF6, multiplicity_rows, random_general_config
+from doublesix.plane import REF6, integer_multiplicity_rows, random_general_config
 
 PRIMES = (1073741789, 1073741783, 1073741741)
 
@@ -165,7 +165,7 @@ def test_kernel_annihilates_and_completes_rank():
     zero = Fraction(0)
     for _ in range(25):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        basis = kernel_basis(m)
+        basis = kernel_basis(m.rows)
         assert rank(m) + len(basis) == m.ncols
         for vec in basis:
             assert list(m.apply(vec)) == [zero] * m.nrows
@@ -175,8 +175,7 @@ def test_kernel_annihilates_and_completes_rank():
 
 def test_kernel_deterministic_shape():
     # One basis vector per free column, unit in that column.
-    m = Matrix([[1, 2, 3], [0, 0, 0]])
-    basis = kernel_basis(m)
+    basis = kernel_basis([[1, 2, 3], [0, 0, 0]])
     assert len(basis) == 2
     assert basis[0][1] == 1 and basis[0][2] == 0
     assert basis[1][2] == 1 and basis[1][1] == 0
@@ -247,7 +246,9 @@ def reference_kernel_basis(m: Matrix):
     return basis
 
 
-def differential_matrices():
+def differential_rows():
+    """Row lists for ``kernel_basis``: Fraction rows of random matrices,
+    and the integer condition rows of ``linear_system``."""
     rng = random.Random("kernel-differential")
     out = []
     for _ in range(20):  # rational entries, mostly full rank
@@ -265,21 +266,22 @@ def differential_matrices():
         out.append(Matrix(rows))
     out.append(Matrix([[0, 0, 0], [0, 0, 0]]))
     out.append(Matrix.identity(4))
+    out = [m.rows for m in out]
     configs = [REF6] + [random_general_config(rng, bound=9) for _ in range(6)]
     for config in configs:  # the linear_system(5) and linear_system(6) conditions
         for degree in (5, 6):
             rows = []
             for p in config.points:
-                rows.extend(multiplicity_rows(degree, p, 2))
-            out.append(Matrix(rows))
+                rows.extend(integer_multiplicity_rows(degree, p, 2))
+            out.append(rows)
     return out
 
 
 def test_kernel_basis_matches_the_fraction_reference():
-    for m in differential_matrices():
-        got = kernel_basis(m)
-        assert got == reference_kernel_basis(m)
-        assert all(isinstance(x, Fraction) for v in got for x in v)
+    for rows in differential_rows():
+        got = kernel_basis(rows)
+        assert got == reference_kernel_basis(Matrix(rows))
+        assert all(type(x) is Fraction for v in got for x in v)
 
 
 def test_row_space_basis_is_the_kernel_basis_of_its_conditions():
@@ -291,7 +293,7 @@ def test_row_space_basis_is_the_kernel_basis_of_its_conditions():
     while tested < 1000:
         nrows, ncols = rng.randint(1, 5), rng.randint(2, 7)
         m = Matrix([[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)])
-        kernel = kernel_basis(m)
+        kernel = kernel_basis(m.rows)
         if not kernel:
             continue
         # More rows than the kernel's dimension, each a random combination.

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,9 +15,9 @@ from doublesix.plane import (
     PointP2,
     chart_coefficients,
     conic_through,
+    integer_multiplicity_rows,
     is_general_position,
     linear_system,
-    multiplicity_rows,
     projective_equivalence,
     projective_stabilizer,
     random_general_config,
@@ -215,13 +216,21 @@ def random_form(rng, degree, density=0.6):
 
 
 def test_multiplicity_rows_match_the_substitution_path():
+    # Integer row (i, j) is the Taylor row scaled by d^(degree - i - j),
+    # with d the common denominator of p's canonical coordinates.
     for p in chart_test_points():
+        d = lcm(*(x.denominator for x in p.coords))
         for degree in (2, 5, 6):
             for mult in (1, 2, 3):
-                rows = multiplicity_rows(degree, p, mult)
+                rows = integer_multiplicity_rows(degree, p, mult)
                 assert len(rows) == mult * (mult + 1) // 2
-                assert rows == reference_multiplicity_rows(degree, p, mult)
-                assert all(isinstance(x, Fraction) for row in rows for x in row)
+                assert all(type(x) is int for row in rows for x in row)
+                orders = [(i, s - i) for s in range(mult) for i in range(s, -1, -1)]
+                scaled = [
+                    [Fraction(x, d ** (degree - i - j)) for x in row]
+                    for row, (i, j) in zip(rows, orders)
+                ]
+                assert scaled == reference_multiplicity_rows(degree, p, mult)
 
 
 def test_chart_coefficients_and_tangent_cones_match_the_substitution_path():

@@ -8,6 +8,9 @@ from math import lcm
 
 import pytest
 
+from test_integer_evaluation import near_degenerate_configs
+from test_plane import reference_tangent_cone
+
 from doublesix import _modp, forms, plane, torsion
 from doublesix._poly import pdiv_exact, peval, pgcd, pmul, pprimitive, ptrim
 from doublesix.association import exceptional_conics, sample_points_on_conic
@@ -769,7 +772,7 @@ def reference_torsion_rank(sextic, side):
         for theta, forced, _, vectors in reference_conic_sites(sextic.config):
             reference = reference_conic_restriction(sextic.form, theta, forced)
             rows.extend(torsion._proportionality_rows(vectors, reference))
-    kernel = kernel_basis(Matrix(rows))
+    kernel = kernel_basis(rows)
     basis = []
     for vec in kernel:
         g = TernaryForm.zero(6)
@@ -851,6 +854,34 @@ def test_node_vectors_are_the_chart_quadrics(rank_cases):
         for p, cone, (vectors, reference) in zip(config.points, profile.cones, sites):
             assert vectors == [list(chart_quadratic_part(g, p)) for g in basis]
             assert tuple(reference) == cone == chart_quadratic_part(profile.form, p)
+
+
+def test_node_profiles_and_ranks_on_near_degenerate_and_wide_configurations():
+    """Tangent cones and node-side ranks where a triple is nearly collinear
+    or a conic nearly a line pair (``near_degenerate_configs``), or the
+    coordinates take ~60 bits; and the conic side on the near line pair."""
+    rng = random.Random("near-degenerate-ranks")
+    near = near_degenerate_configs(rng, 2)
+    wide = random_general_config(rng, bound=2**60)
+    cases = [(c, conic_product_pencil(c).member(1, 1)) for c in near + [wide]]
+    cases += [(c, random_nodal_sextic(c, rng)) for c in near]
+    dimensions = set()
+    for config, form in cases:
+        profile = node_profile(config, form)
+        assert profile.ok
+        for p, cone in zip(config.points, profile.cones):
+            tc = tangent_cone(form, p)
+            assert (tc.multiplicity, tc.quadric, tc.is_node) == reference_tangent_cone(form, p)
+            assert tc.quadric == cone
+        got = torsion_rank(profile, "E")
+        assert (got.dimension, got.basis) == reference_torsion_rank(profile, "E")
+        dimensions.add(got.dimension)
+    assert dimensions == {1, 2}
+    # The second draw puts points 1, 2 and 3, 4 on two lines, so conic 6
+    # (through points 1 .. 5) is nearly a line pair.
+    profile = node_profile(near[1], cases[1][1])
+    got = torsion_rank(profile, "F")
+    assert (got.dimension, got.basis) == reference_torsion_rank(profile, "F")
 
 
 def test_torsion_rank_composes_only_the_candidate(monkeypatch):
