@@ -2,9 +2,11 @@
 
 Univariate polynomials are int lists, low degree first, coefficients
 reduced mod p.  ``torsion._modp_resultant_x`` builds each eliminant mod
-p from these pieces: ``resultant_mod`` at the points t = 0 .. mn, then
-``interpolate_mod``; ``gcd_mod`` then takes the gcd of the two
-eliminants.
+p as ``forms.resultant_eliminate`` builds it over Z: the forms
+specialized at t = 0 .. mn by ``forms._specializations``, then
+``resultant_mod`` at each point where Z uses an integer Sylvester
+determinant, then ``interpolate_mod``; ``gcd_mod`` then takes the gcd
+of the two eliminants.
 
 A mod-p answer proves a fact in two places.  The first is ``rank_mod``
 in ``association.second_model``: a minor that is nonzero mod p is a
@@ -22,20 +24,10 @@ answer leaves the decision to exact arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._poly import ptrim
 
 #: The two fixed 30-bit primes the degree count and the net's rank try in turn.
 SCREEN_PRIMES = (1073741789, 1073741783)
-
-
-def frac_mod(x: Fraction, p: int) -> int | None:
-    """x mod p, or None when the denominator is divisible by p."""
-    den = x.denominator % p
-    if den == 0:
-        return None
-    return x.numerator % p * pow(den, -1, p) % p
 
 
 def rank_mod(rows: list[list[int]], p: int) -> int:

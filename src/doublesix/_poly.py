@@ -1,11 +1,15 @@
-"""Internal univariate polynomial helpers.
+"""Internal univariate polynomial helpers for ``torsion.smooth_elsewhere``.
 
 Polynomials are plain lists of coefficients, low degree first, with no
-trailing zeros (the zero polynomial is the empty list).  The arithmetic
-is generic over ints and Fractions; the fraction-free routines assume
-int coefficients.  Binary (homogeneous two-variable) forms reuse the
-same lists: a form of degree d is the length-(d+1) coefficient vector
-of u^i v^(d-i), and the degree is carried by the caller.
+trailing zeros (the zero polynomial is the empty list).  Binary
+(homogeneous two-variable) forms reuse the same lists: a form of degree
+d is the length-(d+1) coefficient vector of u^i v^(d-i), and the degree
+is carried by the caller.  The helpers are exact division by a node
+linear and a primitive gcd over Z, for the node audit of the exact
+route and the check of the node lines; both accept int or Fraction
+coefficients.  The exact route's eliminants are built by evaluation in
+``forms.resultant_eliminate``, with integer determinants, so no matrix
+of polynomials is ever formed.
 """
 
 from __future__ import annotations
@@ -18,30 +22,6 @@ def ptrim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def psub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    return ptrim(out)
-
-
-def pmul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return ptrim(out)
-
-
-def pscale(a: list, c) -> list:
-    if c == 0:
-        return []
-    return [c * x for x in a]
 
 
 def pdiv_exact(num: list, den: list) -> list:
@@ -72,13 +52,6 @@ def pdiv_exact(num: list, den: list) -> list:
     if any(rem[:dn]):
         raise ArithmeticError("inexact polynomial division")
     return ptrim(q)
-
-
-def peval(p: list, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def pcontent(p: list[int]) -> int:
@@ -134,29 +107,3 @@ def pgcd(a: list, b: list) -> list:
                 r[i - len(b) + 1 + j] -= c * bj
         a, b = b, pprimitive(ptrim(r))
     return pprimitive(a)
-
-
-def pdet_bareiss(mat: list[list[list[int]]]) -> list[int]:
-    """Fraction-free determinant of a matrix of integer polynomials."""
-    n = len(mat)
-    a = [[list(e) for e in row] for row in mat]
-    sign = 1
-    prev: list[int] = [1]
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return []
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                num = psub(pmul(a[i][j], akk), pmul(aik, a[k][j]))
-                a[i][j] = pdiv_exact(num, prev) if prev != [1] else num
-            a[i][k] = []
-        prev = akk
-    out = a[n - 1][n - 1]
-    return pscale(out, sign) if sign < 0 else out
-

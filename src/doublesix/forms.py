@@ -10,16 +10,23 @@ Evaluation runs on integers: :func:`integer_powers` writes a point as
 (x, y, z) / D with integer x, y, z and tabulates their powers, and
 :meth:`TernaryForm.eval` sums integer products over the coefficients'
 common denominator, forming one ``Fraction`` at the end.
+
+Elimination evaluates too.  :func:`resultant_eliminate` specializes
+both integer forms at (u, v) = (t, 1) for t = 0 .. mn with
+``_specializations``, takes each value as an integer Sylvester
+determinant, and interpolates over Z.  ``torsion._modp_resultant_x``
+builds the mod-p eliminants with the same specialization and a
+resultant over GF(p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from . import _poly
-from .linalg import Matrix, clear_denominators, rat
+from .linalg import Matrix, _bareiss_int, clear_denominators, rat
 
 VARS = ("x", "y", "z")
 
@@ -253,22 +260,27 @@ class DegenerateEliminationError(ValueError):
     """
 
 
-def _coefficient_polys(f: TernaryForm, var: int, u: int, v: int) -> list[list[Fraction]]:
-    """Coefficient of var^k as a dehomogenized poly in u (with v -> 1).
+def _specializations(
+    degree: int, terms: Iterable[tuple[Mono, int]], var: int, count: int
+) -> list[list[int]]:
+    """An integer form at (u, v) = (t, 1), for t = 0 .. count - 1.
 
-    Entry k of the result is the coefficient form of var^k, written as
-    a univariate list in the variable u; index = exponent of u.
+    ``terms`` are the (exponent triple, integer coefficient) pairs of a
+    form of the given degree, and u, v are the two variables other than
+    ``var``, in order.  Entry t is the polynomial in ``var``, low degree
+    first, with all degree + 1 coefficients: the last is the constant
+    coefficient of var^degree, whatever t.
     """
-    d = f.degree
-    out: list[list[Fraction]] = [[] for _ in range(d + 1)]
-    for mono, c in f._coeffs.items():
-        k = mono[var]
-        i = mono[u]
-        col = out[k]
-        while len(col) <= i:
-            col.append(Fraction(0))
-        col[i] += c
-    return [_poly.ptrim(col) for col in out]
+    u = 1 if var == 0 else 0
+    # rows[k][i]: the coefficient of var^k u^i v^(degree - k - i)
+    rows = [[0] * (degree + 1 - k) for k in range(degree + 1)]
+    for mono, c in terms:
+        rows[mono[var]][mono[u]] += c
+    out = []
+    for t in range(count):
+        powers = [t**i for i in range(degree + 1)]
+        out.append([sum(map(mul, row, powers)) for row in rows])
+    return out
 
 
 def resultant_eliminate(f: TernaryForm, g: TernaryForm, var: int) -> TernaryForm:
@@ -279,6 +291,21 @@ def resultant_eliminate(f: TernaryForm, g: TernaryForm, var: int) -> TernaryForm
     (u : v) admitting a common root in the eliminated variable.  Both
     inputs must have constant leading coefficient in var, otherwise
     :class:`DegenerateEliminationError` is raised.
+
+    The resultant is built by evaluation and interpolation (Collins,
+    J. ACM 18(4), 1971).  Clearing denominators gives integer forms
+    F = N_f f and G = N_g g of degrees m and n.  Both leading
+    coefficients in var are nonzero constants, so (u, v) -> (t, 1)
+    keeps both degrees in var and maps the Sylvester matrix of F and G
+    to that of the specialized polynomials:
+    Res_var(F, G)(t, 1) = Res(F(t, 1), G(t, 1)), an integer Sylvester
+    determinant for each t = 0 .. mn.  Res_var(F, G)(u, 1) is an integer
+    polynomial of degree at most mn, so its k-th forward difference at
+    0 is k! times its k-th Newton coefficient (u^j is an integer
+    combination of k! binom(u, k)): the division is exact, and Horner's
+    rule expands the Newton form on the nodes 0, 1, ...  Its coefficient
+    of u^i is that of u^i v^(mn - i), and Res_var(f, g) is
+    Res_var(F, G) / (N_f^n N_g^m).
     """
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of a zero form")
@@ -288,38 +315,34 @@ def resultant_eliminate(f: TernaryForm, g: TernaryForm, var: int) -> TernaryForm
             f"leading coefficient in {VARS[var]} is not constant; change coordinates"
         )
     u, v = (w for w in range(3) if w != var)
-
-    # Clear denominators so Bareiss runs over Z[t]; undo the scaling at the end.
-    def to_int(form: TernaryForm) -> tuple[list[list[int]], int]:
-        den = lcm(*(c.denominator for _, c in form.terms()))
-        cols = _coefficient_polys(form.scale(den), var, u, v)
-        return [[int(x) for x in col] for col in cols], den
-
-    fc, fden = to_int(f)
-    gc, gden = to_int(g)
-
-    size = m + n
-    rows: list[list[list[int]]] = []
-    for shift in range(n):  # n rows of f coefficients, descending in var
-        row = [[] for _ in range(size)]
-        for k in range(m + 1):
-            row[shift + (m - k)] = fc[k]
-        rows.append(row)
-    for shift in range(m):
-        row = [[] for _ in range(size)]
-        for k in range(n + 1):
-            row[shift + (n - k)] = gc[k]
-        rows.append(row)
-
-    det = _poly.pdet_bareiss(rows)
-    scale = Fraction(1, fden**n * gden**m)
     total_degree = m * n
-    coeffs: dict[Mono, Fraction] = {}
-    for i, c in enumerate(det):
-        if c == 0:
-            continue
+    (fnums, fden), (gnums, gden) = (clear_denominators(h._coeffs.values()) for h in (f, g))
+    values = []
+    for fu, gu in zip(
+        _specializations(m, zip(f._coeffs, fnums), var, total_degree + 1),
+        _specializations(n, zip(g._coeffs, gnums), var, total_degree + 1),
+    ):
+        # n shifted rows of F's coefficients, then m of G's, var^top first.
+        rows = [[0] * s + fu[::-1] + [0] * (n - 1 - s) for s in range(n)]
+        rows += [[0] * s + gu[::-1] + [0] * (m - 1 - s) for s in range(m)]
+        values.append(_bareiss_int(rows))
+
+    # values[k] becomes the k-th forward difference at t = 0.
+    for k in range(1, total_degree + 1):
+        for i in range(total_degree, k - 1, -1):
+            values[i] -= values[i - 1]
+    coeffs = [0] * (total_degree + 1)
+    for k in range(total_degree, -1, -1):
+        # coeffs <- coeffs * (u - k) + values[k] / k!
+        for j in range(total_degree - k, 0, -1):
+            coeffs[j] = coeffs[j - 1] - k * coeffs[j]
+        coeffs[0] = values[k] // factorial(k) - k * coeffs[0]
+
+    scale = Fraction(1, fden**n * gden**m)
+    out: dict[Mono, Fraction] = {}
+    for i, c in enumerate(coeffs):
         mono = [0, 0, 0]
         mono[u] = i
         mono[v] = total_degree - i
-        coeffs[tuple(mono)] = Fraction(c) * scale
-    return TernaryForm(total_degree, coeffs)
+        out[tuple(mono)] = c * scale
+    return TernaryForm(total_degree, out)

@@ -34,6 +34,7 @@ from .association import _is_line_pair, exceptional_conics, sample_points_on_con
 from .forms import (
     DegenerateEliminationError,
     TernaryForm,
+    _specializations,
     integer_powers,
     monomials_of_degree,
     resultant_eliminate,
@@ -414,8 +415,12 @@ def _modp_resultant_x(f: TernaryForm, g: TernaryForm, p: int) -> list[int] | Non
     x^n coefficient divisible by p (a form that vanishes mod p among
     them), gives None.
 
-    Otherwise both leading x-coefficients are nonzero constants mod p, so
-    the resultant commutes with reduction and with specialization:
+    This is the construction of ``resultant_eliminate`` over GF(p).
+    Each form's integer numerators, over its common denominator, are
+    reduced mod p with one inverse of that denominator and specialized
+    at (y, z) = (t, 1) by ``forms._specializations``.  Both leading
+    x-coefficients are nonzero constants mod p, so the resultant
+    commutes with reduction and with specialization:
     Res_x(f, g)(t, 1) = Res(f(x, t, 1), g(x, t, 1)) over GF(p), with both
     univariate polynomials at full degree.  That binary form has degree
     mn, so its values at t = 0 .. mn, distinct because p > mn, determine
@@ -426,25 +431,20 @@ def _modp_resultant_x(f: TernaryForm, g: TernaryForm, p: int) -> list[int] | Non
     m, n = f.degree, g.degree
     if p <= m * n:
         raise ValueError(f"interpolating a degree-{m * n} eliminant needs p > {m * n}")
-    tables = []
+    specialized = []
     for form in (f, g):
-        # rows[i][j]: the coefficient of x^i y^j z^(deg - i - j) mod p
-        rows = [[0] * (form.degree + 1 - i) for i in range(form.degree + 1)]
-        for (i, j, _), c in form.terms():
-            cm = _modp.frac_mod(c, p)
-            if cm is None:
-                return None
-            rows[i][j] = cm
-        if rows[-1][0] == 0:  # the x^deg coefficient vanishes mod p
+        terms = form.terms()
+        nums, den = clear_denominators([c for _, c in terms])
+        if den % p == 0:  # p divides a coefficient's denominator
             return None
-        tables.append(rows)
-    ts = list(range(m * n + 1))
-    values = []
-    for t in ts:
-        powers = [t**j for j in range(max(m, n) + 1)]
-        fu, gu = ([sum(map(mul, row, powers)) % p for row in rows] for rows in tables)
-        values.append(_modp.resultant_mod(fu, gu, p))
-    return _modp.interpolate_mod(ts, values, p)
+        inv = pow(den, -1, p)
+        reduced = ((mono, c * inv % p) for (mono, _), c in zip(terms, nums))
+        polys = _specializations(form.degree, reduced, 0, m * n + 1)
+        if polys[0][-1] == 0:  # the x^deg coefficient vanishes mod p
+            return None
+        specialized.append(polys)
+    values = [_modp.resultant_mod(fu, gu, p) for fu, gu in zip(*specialized)]
+    return _modp.interpolate_mod(list(range(m * n + 1)), values, p)
 
 
 def _modp_gcd_degree(fx: TernaryForm, fy: TernaryForm, fz: TernaryForm) -> int | None:
@@ -492,10 +492,11 @@ def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
 
     Any other outcome (a gcd of higher degree, no prime with a good and
     nonzero reduction, a node that is not singular) falls back to the
-    exact eliminants in the same frame.  Their audit divides each node
-    projection out of both and asks an exact ``pgcd`` whether the
-    cofactors are coprime; route "exact".  Both routes reach the same
-    verdict, attempts and node orders; only the route differs.
+    exact eliminants in the same frame, which ``resultant_eliminate``
+    builds by the same evaluation at t = 0 .. 25, over Z.  Their audit
+    divides each node projection out of both and asks an exact ``pgcd``
+    whether the cofactors are coprime; route "exact".  Both routes reach
+    the same verdict, attempts and node orders; only the route differs.
     """
     if form.degree != 6:
         raise ValueError("smoothness certification targets degree-six forms")

@@ -1,17 +1,22 @@
 """Ternary form arithmetic and resultant elimination against oracles.
 
-The elimination oracle recomputes each resultant by specializing the
-trailing variables, taking plain Gaussian determinants of the
-specialized Sylvester matrices, and interpolating; the implementation
-under test uses fraction-free polynomial determinants instead, so the
-two routes are independent.
+Elimination has two oracles.  ``reference_resultant_eliminate`` builds
+the Sylvester matrix over Z[t] and takes its determinant by a
+fraction-free Bareiss on polynomial entries, with no specialization at
+all.  ``interpolated_resultant`` specializes at t = 0 .. mn like the
+implementation, but takes ``Fraction`` Gaussian determinants and
+interpolates by Lagrange, where the implementation takes integer
+Bareiss determinants and interpolates by forward differences.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from doublesix._poly import pdiv_exact, ptrim
 from doublesix.forms import (
     DegenerateEliminationError,
     TernaryForm,
@@ -19,6 +24,8 @@ from doublesix.forms import (
     resultant_eliminate,
 )
 from doublesix.linalg import Matrix, determinant
+from doublesix.plane import REF6, random_general_config
+from doublesix.torsion import _admissible_frames, conic_product_pencil, random_nodal_sextic
 
 X, Y, Z = (TernaryForm.variable(i) for i in range(3))
 
@@ -96,6 +103,106 @@ def interpolated_resultant(f, g, var):
             mono[others[1]] = bound - k
             result = result + TernaryForm.monomial(tuple(mono), c)
     return result
+
+
+# The Sylvester-over-Z[t] elimination that ``resultant_eliminate`` ran
+# before it evaluated at integers, with its polynomial helpers.
+
+
+def psub(a, b):
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+    return ptrim(out)
+
+
+def pmul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return ptrim(out)
+
+
+def pscale(a, c):
+    if c == 0:
+        return []
+    return [c * x for x in a]
+
+
+def pdet_bareiss(mat):
+    """Fraction-free determinant of a matrix of integer polynomials."""
+    n = len(mat)
+    a = [[list(e) for e in row] for row in mat]
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return []
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        akk = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            for j in range(k + 1, n):
+                num = psub(pmul(a[i][j], akk), pmul(aik, a[k][j]))
+                a[i][j] = pdiv_exact(num, prev) if prev != [1] else num
+            a[i][k] = []
+        prev = akk
+    out = a[n - 1][n - 1]
+    return pscale(out, sign) if sign < 0 else out
+
+
+def reference_coefficient_polys(f, var, u):
+    """Entry k: the coefficient of var^k as a list in u (with v -> 1)."""
+    out = [[] for _ in range(f.degree + 1)]
+    for mono, c in f.terms():
+        col = out[mono[var]]
+        while len(col) <= mono[u]:
+            col.append(Fraction(0))
+        col[mono[u]] += c
+    return [ptrim(col) for col in out]
+
+
+def reference_resultant_eliminate(f, g, var):
+    """Res_var(f, g) from the Sylvester matrix over Z[t] and ``pdet_bareiss``."""
+    m, n = f.degree, g.degree
+    u, v = (w for w in range(3) if w != var)
+
+    def to_int(form):
+        den = lcm(*(c.denominator for _, c in form.terms()))
+        cols = reference_coefficient_polys(form.scale(den), var, u)
+        return [[int(x) for x in col] for col in cols], den
+
+    fc, fden = to_int(f)
+    gc, gden = to_int(g)
+    size = m + n
+    rows = []
+    for shift in range(n):  # n rows of f coefficients, descending in var
+        row = [[] for _ in range(size)]
+        for k in range(m + 1):
+            row[shift + (m - k)] = fc[k]
+        rows.append(row)
+    for shift in range(m):
+        row = [[] for _ in range(size)]
+        for k in range(n + 1):
+            row[shift + (n - k)] = gc[k]
+        rows.append(row)
+    det = pdet_bareiss(rows)
+    scale = Fraction(1, fden**n * gden**m)
+    coeffs = {}
+    for i, c in enumerate(det):
+        if c:
+            mono = [0, 0, 0]
+            mono[u] = i
+            mono[v] = m * n - i
+            coeffs[tuple(mono)] = Fraction(c) * scale
+    return TernaryForm(m * n, coeffs)
 
 
 def test_monomial_order_is_descending_lex():
@@ -218,6 +325,79 @@ def test_resultant_matches_interpolation_oracle():
         oracle = interpolated_resultant(f, g, var)
         assert r == oracle
         cases += 1
+
+
+def random_rational_form(rng, degree, bound):
+    """A random form whose coefficients carry denominators up to ``bound``."""
+    form = random_form(rng, degree, bound)
+    return TernaryForm(degree, {m: c / rng.randint(1, bound) for m, c in form.terms()})
+
+
+def proper_pair(rng, degrees, var, bound):
+    """Random rational forms of the given degrees, both of full degree in var."""
+    while True:
+        f, g = (random_rational_form(rng, d, bound) for d in degrees)
+        if f.degree_in(var) == f.degree and g.degree_in(var) == g.degree:
+            return f, g
+
+
+def test_resultant_matches_the_sylvester_reference_in_every_variable():
+    rng = random.Random("res-sylvester")
+    degrees = [(1, 3), (3, 1), (2, 3), (4, 2), (2, 5), (3, 3)]
+    for var in range(3):
+        for pair in degrees:
+            for bound in (7, 2**60):
+                f, g = proper_pair(rng, pair, var, bound)
+                r = resultant_eliminate(f, g, var)
+                assert r == reference_resultant_eliminate(f, g, var)
+                assert r.degree == pair[0] * pair[1] and r.degree_in(var) == 0
+    # A ~60-bit case keeps its size: no coefficient was reduced away.
+    assert max(abs(c.numerator) for _, c in r.terms()) > 2**300
+
+
+def test_resultant_keeps_a_power_of_v_in_its_top_coefficients():
+    """f = L a + v^k b and g = L c + v^k d with L = var - u share the root
+    var = u modulo v^k, so v^k divides Res_var(f, g): the coefficients of
+    u^mn .. u^(mn - k + 1) vanish."""
+    rng = random.Random("res-power-of-v")
+    for var in range(3):
+        u, v = (w for w in range(3) if w != var)
+        line = TernaryForm.variable(var) - TernaryForm.variable(u)
+        for k, (m, n) in itertools.product((1, 2), [(2, 3), (4, 2), (3, 3)]):
+            vk = TernaryForm.monomial(tuple(k if w == v else 0 for w in range(3)))
+            while True:
+                f = line * random_rational_form(rng, m - 1, 9) + vk * random_form(rng, m - k)
+                g = line * random_rational_form(rng, n - 1, 9) + vk * random_form(rng, n - k)
+                if f.degree_in(var) == m and g.degree_in(var) == n:
+                    break
+            r = resultant_eliminate(f, g, var)
+            assert r == reference_resultant_eliminate(f, g, var)
+            assert not r.is_zero
+            top = [tuple(m * n - j if w == u else j if w == v else 0 for w in range(3))
+                   for j in range(k)]
+            assert all(r.coefficient(mono) == 0 for mono in top)
+
+
+def test_resultant_matches_the_sylvester_reference_on_moved_partials():
+    """The eliminants of ``smooth_elsewhere``'s exact route: Res_x(fx, fy) and
+    Res_x(fx, fz) of degree 25 in every admissible frame of pencil members
+    and a random nodal sextic, whose coefficients carry large denominators."""
+    rng = random.Random("res-moved-partials")
+    configs = [REF6, random_general_config(rng)]
+    forms = [conic_product_pencil(c).member(1, 1).canonical() for c in configs]
+    forms.append(random_nodal_sextic(configs[1], rng))
+    count = 0
+    for config, form in zip(configs + configs[1:], forms):
+        for frame, _ in _admissible_frames(form, [q.coords for q in config.points]):
+            if frame is None:
+                continue
+            fx, fy, fz = (frame[0].partial(w) for w in range(3))
+            for other in (fy, fz):
+                r = resultant_eliminate(fx, other, 0)
+                assert r.degree == 25 and not r.is_zero
+                assert r == reference_resultant_eliminate(fx, other, 0)
+                count += 1
+    assert count >= 8
 
 
 def test_resultant_degenerate_leading_coefficient_raises():

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, and every
-private module-level name is read somewhere in the library."""
+private module-level name, and every function of the private helper
+modules ``_poly`` and ``_modp``, is read somewhere in the library."""
 
 import ast
 from collections import Counter
@@ -100,17 +101,40 @@ def references(node):
             yield from (alias.name for alias in sub.names)
 
 
-def unreferenced_private_names(sources):
-    """(module, name) for each private module-level name of ``sources``, a
-    {module: source} mapping, that no code outside its own definition reads."""
+def function_definitions(tree):
+    """(name, defining statement) for each function defined at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+
+
+def unreferenced(sources, definitions):
+    """(module, name) for each name that ``definitions(module, tree)`` yields
+    for a module of ``sources``, a {module: source} mapping, and that no code
+    outside its own definition reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     counts = Counter(name for tree in trees.values() for name in references(tree))
     return [
         (module, name)
         for module, tree in trees.items()
-        for name, node in private_definitions(tree)
+        for name, node in definitions(module, tree)
         if counts[name] == Counter(references(node))[name]
     ]
+
+
+def unreferenced_private_names(sources):
+    return unreferenced(sources, lambda module, tree: private_definitions(tree))
+
+
+#: The private helper modules, every function of which the library must read.
+HELPER_MODULES = ("_poly.py", "_modp.py")
+
+
+def unreferenced_helper_functions(sources):
+    return unreferenced(
+        sources,
+        lambda module, tree: function_definitions(tree) if module in HELPER_MODULES else (),
+    )
 
 
 def test_every_private_library_name_is_used_in_the_library():
@@ -134,3 +158,29 @@ def test_the_private_name_scan_sees_other_modules_and_ignores_self_reference():
         "b.py": "from .a import _helper\nimport a\nx = a._Hidden\n",
     }
     assert unreferenced_private_names(sources) == [("a.py", "_unused"), ("a.py", "_loop")]
+
+
+def test_every_helper_module_function_is_used_in_the_library():
+    sources = {path.name: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
+    assert set(HELPER_MODULES) <= set(sources)
+    assert unreferenced_helper_functions(sources) == []
+
+
+def test_the_helper_function_scan_sees_other_modules_and_only_helper_modules():
+    sources = {
+        "_poly.py": (
+            "def ptrim(p):\n"
+            "    return p\n"
+            "def pmul(a, b):\n"
+            "    return ptrim(a)\n"
+            "def peval(p, x):\n"
+            "    return peval(p, x)\n"
+        ),
+        "_modp.py": "from ._poly import ptrim\ndef frac_mod(x, p):\n    return x\n",
+        "forms.py": "from . import _modp\ndef unused():\n    return _modp.SCREEN_PRIMES\n",
+    }
+    assert unreferenced_helper_functions(sources) == [
+        ("_poly.py", "pmul"),
+        ("_poly.py", "peval"),
+        ("_modp.py", "frac_mod"),
+    ]

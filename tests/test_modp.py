@@ -5,19 +5,29 @@ from fractions import Fraction
 
 import pytest
 
-from doublesix._modp import (
-    SCREEN_PRIMES,
-    frac_mod,
-    gcd_mod,
-    interpolate_mod,
-    rank_mod,
-    resultant_mod,
-)
-from doublesix._poly import peval, pgcd, pmul
+from test_forms import pmul
+
+from doublesix._modp import SCREEN_PRIMES, gcd_mod, interpolate_mod, rank_mod, resultant_mod
+from doublesix._poly import pgcd
 from doublesix.forms import TernaryForm
 from doublesix.linalg import Matrix, determinant, rank
 from doublesix.plane import REF6, integer_multiplicity_rows, random_general_config
 from doublesix.torsion import _modp_resultant_x
+
+
+def frac_mod(x, p):
+    """x mod p, or None when the denominator is divisible by p."""
+    den = x.denominator % p
+    if den == 0:
+        return None
+    return x.numerator % p * pow(den, -1, p) % p
+
+
+def peval(p, x):
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def random_int_poly(rng, degree, bound=9):

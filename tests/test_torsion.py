@@ -8,17 +8,20 @@ from math import lcm
 
 import pytest
 
+from test_forms import pmul
 from test_integer_evaluation import near_degenerate_configs
+from test_modp import frac_mod, peval
 from test_plane import reference_tangent_cone
 
 from doublesix import _modp, forms, plane, torsion
-from doublesix._poly import pdiv_exact, peval, pgcd, pmul, pprimitive, ptrim
+from doublesix._poly import pdiv_exact, pgcd, pprimitive, ptrim
 from doublesix.association import exceptional_conics, sample_points_on_conic
 from doublesix.forms import TernaryForm, resultant_eliminate
 from doublesix.linalg import Matrix, determinant, inverse, kernel_basis, rank
 from doublesix.plane import (
     REF6,
     Config6,
+    PointP2,
     chart_quadratic_part,
     linear_system,
     random_general_config,
@@ -456,6 +459,60 @@ def test_degree_count_needs_every_node_to_be_singular(monkeypatch):
     assert verdict_key(verdict) == verdict_key(smooth_elsewhere(form, fake_nodes))
     assert not verdict.certified and verdict.route is None
     assert verdict.detail == "node projection missing from the common factor"
+
+
+def seventh_double_point_case(seed):
+    """(config, q, form): a seeded member of the 7-dimensional system of
+    sextics double at the six points and at q = point 1 + (1, 0, 0), which
+    lies on point 1's vertical line, the line frame 0 projects to a point."""
+    config = random_general_config(random.Random(f"seventh:{seed}"), bound=3)
+    x, y, z = config.points[0].coords
+    q = PointP2((x + 1, y, z))
+    system = linear_system(6, [(p, 2) for p in config.points] + [(q, 2)])
+    assert len(system.basis) == 7
+    rng = random.Random(f"seventh-member:{seed}")
+    form = TernaryForm.zero(6)
+    while form.is_zero:
+        for b in system.basis:
+            form = form + b.scale(rng.randint(-9, 9))
+    return config, q, form
+
+
+@pytest.mark.parametrize(
+    "seed, detail",
+    [
+        (0, "extra singular point on a node line"),
+        (4, "residual common factor of degree 1"),
+        (14, "residual common factor of degree 1"),
+        (16, "extra singular point on a node line"),
+    ],
+)
+def test_a_seventh_double_point_is_rejected_by_the_exact_route(monkeypatch, seed, detail):
+    """The six nodes are ordinary, so ``node_profile`` passes.  The seventh
+    singular point lifts the count to degree 7 in every admissible frame, so
+    the exact eliminants decide: the detail is the last frame's, a residual
+    factor where q projects apart from the nodes, or q found on a node line."""
+    config, q, form = seventh_double_point_case(seed)
+    assert node_profile(config, form).ok
+    assert torsion._singular_at(form, [q.coords])
+    degrees = record_gcd_degrees(monkeypatch)
+    calls = count_exact_eliminations(monkeypatch)
+    verdict = smooth_elsewhere(form, config.points)
+    assert verdict_key(verdict) == (False, 4, detail, None) and verdict.route is None
+    assert set(degrees) == {7} and len(calls) == 2 * len(degrees)
+    assert smooth_screen(form, config.points) is False
+
+
+@pytest.mark.parametrize("seed", [14, 16])
+def test_a_seventh_double_point_on_a_node_line_is_found_in_the_identity_frame(
+    monkeypatch, seed
+):
+    """In the identity frame q and point 1 project to the same point, so only
+    the check of the node lines can see q."""
+    config, _, form = seventh_double_point_case(seed)
+    monkeypatch.setattr(torsion, "FRAMES", 1)
+    verdict = smooth_elsewhere(form, config.points)
+    assert verdict_key(verdict) == (False, 1, "extra singular point on a node line", None)
 
 
 def frame_eliminants(config, form):
@@ -952,7 +1009,7 @@ def reference_exact_resultant_x(f, g, p):
     for form in (f, g):
         coeffs = {}
         for mono, c in form.terms():
-            cm = _modp.frac_mod(c, p)
+            cm = frac_mod(c, p)
             if cm is None:
                 return None
             coeffs[mono] = cm
@@ -1024,7 +1081,7 @@ def reference_x_poly(form, t, p):
     for j in range(1, form.degree + 1):
         tpow[j] = tpow[j - 1] * t % p
     for (i, j, k), c in form.terms():
-        cm = _modp.frac_mod(c, p)
+        cm = frac_mod(c, p)
         if cm is None:
             return None
         out[i] = (out[i] + cm * tpow[j]) % p
@@ -1164,8 +1221,8 @@ def reference_screen_frame(moved, moved_nodes):
         common = _modp.gcd_mod(a_poly, b_poly, p)
         v_power = min(a_v, b_v)
         for q in moved_nodes:
-            ym = _modp.frac_mod(Fraction(q[1]), p)
-            zm = _modp.frac_mod(Fraction(q[2]), p)
+            ym = frac_mod(Fraction(q[1]), p)
+            zm = frac_mod(Fraction(q[2]), p)
             if ym is None or zm is None:
                 return None
             if zm == 0:
@@ -1206,3 +1263,24 @@ def test_smooth_screen_matches_the_node_audit_reference():
     hints = [smooth_screen(form, config.points) for config, form in cases]
     assert hints == [reference_smooth_screen(form, config.points) for config, form in cases]
     assert hints[0] is False and hints.count(True) == len(hints) - 1
+
+
+def test_smoothness_on_near_degenerate_and_wide_configurations(monkeypatch):
+    """Pencil members and random nodal sextics where a triple is nearly
+    collinear or a conic nearly a line pair (``near_degenerate_configs``), or
+    the coordinates take ~60 bits: the degree count certifies each in its
+    first admissible frame, and ``smooth_screen`` agrees with the node-audit
+    reference."""
+    rng = random.Random("near-degenerate-smoothness")
+    configs = near_degenerate_configs(rng, 2) + [random_general_config(rng, bound=2**60)]
+    cases = [(c, conic_product_pencil(c).member(1, 1)) for c in configs]
+    cases += [(c, random_nodal_sextic(c, rng)) for c in configs]
+    degrees = record_gcd_degrees(monkeypatch)
+    for config, form in cases:
+        degrees.clear()
+        verdict = smooth_elsewhere(form, config.points)
+        assert verdict.certified and verdict.route == "degree count"
+        assert verdict.node_orders == (1,) * 6 and degrees == [6]
+    hints = [smooth_screen(form, config.points) for config, form in cases]
+    assert hints == [reference_smooth_screen(form, config.points) for config, form in cases]
+    assert hints == [True] * len(cases)
