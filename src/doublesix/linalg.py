@@ -194,11 +194,11 @@ def row_space_basis(rows: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]
 
 
 def _bareiss_int(a: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss)."""
+    """Fraction-free determinant of an integer matrix (Bareiss); 1 when empty."""
     n = len(a)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
             return 0
@@ -213,7 +213,7 @@ def _bareiss_int(a: list[list[int]]) -> int:
                 row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = akk
-    return sign * a[n - 1][n - 1]
+    return sign * prev
 
 
 def determinant(m: Matrix) -> Fraction:

@@ -150,23 +150,36 @@ def _proportionality_rows(
     return rows
 
 
+def _integer_vectors(forms: Sequence[TernaryForm]) -> list[list[int]]:
+    """The forms' coefficient vectors over one common denominator."""
+    ints, _ = clear_denominators([c for g in forms for c in g.coefficient_vector()])
+    n = len(ints) // len(forms)
+    return [ints[i : i + n] for i in range(0, len(ints), n)]
+
+
+def _canonical_combination(coeffs: Sequence, members: Sequence[TernaryForm]) -> TernaryForm:
+    """``canonical()`` of sum coeffs[i] * members[i], summed on integers and
+    divided by its first nonzero entry, which removes the cleared scale."""
+    cs, _ = clear_denominators(coeffs)
+    total = [sum(map(mul, cs, column)) for column in zip(*_integer_vectors(members))]
+    lead = next((t for t in total if t), 1)
+    degree = members[0].degree
+    return TernaryForm.from_coefficient_vector(degree, [Fraction(t, lead) for t in total])
+
+
 def _matching_vectors(
     sextic: NodalSextic, side: str, basis: Sequence[TernaryForm]
-) -> list[tuple[list[list[Fraction]], list[Fraction]]]:
-    """Per node or conic: the vector of each basis member, and the
-    candidate's vector (see :func:`torsion_rank`)."""
+) -> list[tuple[list[list[int]], list[int]]]:
+    """Per node or conic: the integer vector of each basis member and the
+    candidate's, at one positive scale per site (see :func:`torsion_rank`)."""
     config = sextic.config
-    # Per site: a table of (integer row, divisor) pairs, one per entry.  A
-    # form's entry is its integer coefficients dotted with the row, over
-    # their denominator and the divisor.
+    # Per site: integer rows, one per entry of a vector.
     tables = []
     monos = monomials_of_degree(6)
     if side == "E":
         for p in config.points:
-            # The order-2 Taylor rows, those chart_quadratic_part reads, over
-            # d^(6 - 2): a node's vector is the chart quadric.
-            rows, d = _integer_chart_columns(monos, p, ((2, 0), (1, 1), (0, 2)))
-            tables.append([(row, d**4) for row in rows])
+            # The order-2 Taylor rows, those chart_quadratic_part reads.
+            tables.append(_integer_chart_columns(monos, p, ((2, 0), (1, 1), (0, 2)))[0])
     else:
         if not _singular_at(sextic.form, config.points):
             raise ArithmeticError("the candidate is not singular at every configuration point")
@@ -179,17 +192,11 @@ def _matching_vectors(
             table = []
             for q in sample_points_on_conic(conic, base, config.points, count=3):
                 (xs, ys, zs), _ = integer_powers(q.coords, 6)
-                table.append(([xs[a] * ys[b] * zs[c] for a, b, c in monos], 1))
+                table.append([xs[a] * ys[b] * zs[c] for a, b, c in monos])
             tables.append(table)
-    coeffs = [clear_denominators(g.coefficient_vector()) for g in (*basis, sextic.form)]
-    out = []
-    for table in tables:
-        *vectors, reference = (
-            [Fraction(sum(map(mul, ints, vec)), den * div) for ints, div in table]
-            for vec, den in coeffs
-        )
-        out.append((vectors, reference))
-    return out
+    vecs = _integer_vectors([*basis, sextic.form])
+    sites = [[[sum(map(mul, row, vec)) for row in table] for vec in vecs] for table in tables]
+    return [(site[:-1], site[-1]) for site in sites]
 
 
 def torsion_rank(sextic: NodalSextic, side: str) -> TorsionRank:
@@ -201,17 +208,21 @@ def torsion_rank(sextic: NodalSextic, side: str) -> TorsionRank:
 
     Each site, a node or a conic, maps a sextic g to a vector in Q^3; the
     conditions ask a combination of the basis members' vectors to be
-    proportional to the candidate's vector.  The vectors are evaluated on
-    integers, never expanded: per site, each form's coefficient vector is
-    dotted with the rows of one integer table.
+    proportional to the candidate's.  A site's vectors matter only up to
+    one shared nonzero scale s: it multiplies each row of
+    ``_proportionality_rows`` by s^2 (by s if the reference is zero), which
+    keeps the kernel and the unique reduced echelon basis ``kernel_basis``
+    returns.  So the members and the candidate are cleared over one common
+    denominator D, and each integer coefficient vector is dotted with the
+    integer rows of each site; ``_canonical_combination`` sums the basis
+    on the same integers, as canonical(sum c_i D b_i) = canonical(sum c_i b_i).
 
-    * At a node p, the rows are the (2, 0), (1, 1) and (0, 2) Taylor rows
-      of the chart at p (those of ``integer_multiplicity_rows`` of that
-      order, over d^4), so g's vector is its chart quadric.
-    * On conic C, the rows are the sextic monomials at three rational
-      points P_1, P_2, P_3 of C off the configuration points, found by
-      ``sample_points_on_conic``, so g's vector is (g(P_1), g(P_2),
-      g(P_3)).
+    * At a node p the rows are the order-2 rows of ``_integer_chart_columns``,
+      d^4 times the (2, 0), (1, 1), (0, 2) Taylor rows, so g's vector is
+      D d^4 times its chart quadric.
+    * On conic C they are the sextic monomials at three rational points P_k
+      of C off the configuration points (``sample_points_on_conic``),
+      cleared to integers, so entry k is g(P_k) times a factor set by P_k.
 
     Why these vectors give the rank of the conic restrictions: a smooth
     conic has a rational parametrization theta of degree two, and a sextic
@@ -223,10 +234,8 @@ def torsion_rank(sextic: NodalSextic, side: str) -> TorsionRank:
     candidate.  The map q -> (q(t_1), q(t_2), q(t_3)) is invertible on
     binary quadrics for distinct t_k, so it keeps every proportionality
     condition, and scaling entry k by c_k only multiplies each row of
-    ``_proportionality_rows`` by a nonzero factor.  So the kernel is that
-    of the quadric coefficients.  Its annihilator, the row space, is the
-    same too; the reduced echelon form is unique, so ``kernel_basis``
-    returns the same vectors and the basis below the same canonical forms.
+    ``_proportionality_rows`` by a nonzero factor.  So the kernel, and the
+    basis below, are those of the quadric coefficients.
 
     The argument needs its two premises, so side ``"F"`` checks them:
     a candidate not singular at every configuration point raises
@@ -236,18 +245,12 @@ def torsion_rank(sextic: NodalSextic, side: str) -> TorsionRank:
     if side not in ("E", "F"):
         raise ValueError("side must be 'E' or 'F'")
     system = linear_system(6, [(p, 2) for p in sextic.config.points])
-    rows: list[list[Rational]] = []
+    rows: list[list[int]] = []
     for vectors, reference in _matching_vectors(sextic, side, system.basis):
         rows.extend(_proportionality_rows(vectors, reference))
     kernel = kernel_basis(rows)
-    basis = []
-    for vec in kernel:
-        g = TernaryForm.zero(6)
-        for coeff, member in zip(vec, system.basis):
-            if coeff != 0:
-                g = g + member.scale(coeff)
-        basis.append(g.canonical())
-    return TorsionRank(side, len(kernel), tuple(basis))
+    basis = tuple(_canonical_combination(vec, system.basis) for vec in kernel)
+    return TorsionRank(side, len(kernel), basis)
 
 
 # ----------------------------------------------------------------------
@@ -772,15 +775,11 @@ def certify_pencil(config: Config6) -> TorsionCertificate:
 
 
 def random_nodal_sextic(config: Config6, rng: random.Random, bound: int = 9) -> TernaryForm:
-    """Random member of the ten-dimensional nodal system, for trials."""
+    """Random member of the ten-dimensional nodal system, for trials: a
+    nonzero combination of independent members, so never zero, summed on
+    integers and canonically scaled by ``_canonical_combination``."""
     system = linear_system(6, [(p, 2) for p in config.points])
     while True:
-        coeffs = [Fraction(rng.randint(-bound, bound)) for _ in system.basis]
-        if not any(coeffs):
-            continue
-        g = TernaryForm.zero(6)
-        for c, member in zip(coeffs, system.basis):
-            if c != 0:
-                g = g + member.scale(c)
-        if not g.is_zero:
-            return g.canonical()
+        coeffs = [rng.randint(-bound, bound) for _ in system.basis]
+        if any(coeffs):
+            return _canonical_combination(coeffs, system.basis)

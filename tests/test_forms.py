@@ -400,6 +400,23 @@ def test_resultant_matches_the_sylvester_reference_on_moved_partials():
     assert count >= 8
 
 
+def constant(c):
+    return TernaryForm(0, {(0, 0, 0): c})
+
+
+@pytest.mark.parametrize(
+    "f, g, want",
+    [
+        (constant(3), constant(5), 1),  # the empty Sylvester determinant
+        (constant(3), X * X + 2 * Y * Z, 9),  # a^n against a full x^n term
+        (X * X + 2 * Y * Z, constant(3), 9),
+        (constant(Fraction(-2, 3)), X - Y, Fraction(-2, 3)),
+    ],
+)
+def test_resultant_with_a_constant_form(f, g, want):
+    assert resultant_eliminate(f, g, 0) == constant(want)
+
+
 def test_resultant_degenerate_leading_coefficient_raises():
     f = X * Y  # degree in x is 1 < 2 only after fixing: use a form of x-degree < total degree
     g = X * X + Y * Y

@@ -678,6 +678,33 @@ def test_random_nodal_sextics_live_in_the_nodal_system():
             assert tangent_cone(form, p).multiplicity >= 2
 
 
+def reference_random_nodal_sextic(config, rng, bound=9):
+    """``random_nodal_sextic`` by summing scaled ``TernaryForm``s."""
+    system = linear_system(6, [(p, 2) for p in config.points])
+    while True:
+        coeffs = [Fraction(rng.randint(-bound, bound)) for _ in system.basis]
+        if not any(coeffs):
+            continue
+        g = TernaryForm.zero(6)
+        for c, member in zip(coeffs, system.basis):
+            if c != 0:
+                g = g + member.scale(c)
+        if not g.is_zero:
+            return g.canonical()
+
+
+def test_random_nodal_sextic_matches_the_form_sum_reference():
+    rng = random.Random("random-nodal-reference")
+    configs = [REF6] + [random_general_config(rng) for _ in range(3)]
+    configs += [random_general_config(rng, bound=2**60)] + near_degenerate_configs(rng, 2)
+    for config in configs:
+        for seed in range(3):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = random_nodal_sextic(config, got_rng, bound=seed + 1)
+            assert got == reference_random_nodal_sextic(config, want_rng, bound=seed + 1)
+            assert got_rng.getstate() == want_rng.getstate()
+
+
 # Reference for side "F" of ``torsion_rank``: a rational chart of each
 # exceptional conic, the composition of a sextic with the chart in Fraction
 # arithmetic, and the exact division by the forced divisor.  Binary forms
@@ -904,13 +931,21 @@ def test_conic_vectors_are_the_chart_restrictions_up_to_a_shared_factor(rank_cas
 
 
 def test_node_vectors_are_the_chart_quadrics(rank_cases):
+    """At node p every vector is D d^4 times the form's chart quadric: D the
+    common denominator of the members' and the candidate's coefficients,
+    p = (n_a, n_b, d) / d in the chart of ``_integer_chart_columns``."""
+    monos = forms.monomials_of_degree(6)
     for profile, *_ in rank_cases:
         config = profile.config
         basis = linear_system(6, [(p, 2) for p in config.points]).basis
         sites = torsion._matching_vectors(profile, "E", basis)
+        D = lcm(*(c.denominator for g in (*basis, profile.form) for c in g.coefficient_vector()))
         for p, cone, (vectors, reference) in zip(config.points, profile.cones, sites):
-            assert vectors == [list(chart_quadratic_part(g, p)) for g in basis]
-            assert tuple(reference) == cone == chart_quadratic_part(profile.form, p)
+            _, d = plane._integer_chart_columns(monos, p, ((2, 0), (1, 1), (0, 2)))
+            assert all(type(x) is int for vector in (*vectors, reference) for x in vector)
+            assert vectors == [[D * d**4 * c for c in chart_quadratic_part(g, p)] for g in basis]
+            assert cone == chart_quadratic_part(profile.form, p)
+            assert reference == [D * d**4 * c for c in cone]
 
 
 def test_node_profiles_and_ranks_on_near_degenerate_and_wide_configurations():
@@ -954,6 +989,29 @@ def test_torsion_rank_composes_only_the_candidate(monkeypatch):
     torsion_rank(profile, "F")
     torsion_rank(profile, "E")
     assert calls == {"chart quadric": 0}
+
+
+def test_torsion_rank_and_random_nodal_sextic_sum_no_sextics(monkeypatch):
+    """Neither sums scaled sextics as ``TernaryForm``s; the exceptional conics
+    of side "F" are still scaled by ``conic_through``, so only sextics count."""
+    calls = {"add": 0, "scale": 0}
+    add, scale = TernaryForm.__add__, TernaryForm.scale
+
+    def counted(name, method):
+        def wrapper(form, other):
+            calls[name] += form.degree == 6
+            return method(form, other)
+
+        return wrapper
+
+    monkeypatch.setattr(TernaryForm, "__add__", counted("add", add))
+    monkeypatch.setattr(TernaryForm, "scale", counted("scale", scale))
+    profile = node_profile(REF6, conic_product_pencil(REF6).member(1, 1))
+    calls.update(add=0, scale=0)
+    for side in ("E", "F"):
+        assert torsion_rank(profile, side).dimension == 2
+    random_nodal_sextic(REF6, random.Random("no-form-sums"))
+    assert calls == {"add": 0, "scale": 0}
 
 
 def test_torsion_rank_rejects_a_hand_built_sextic_off_the_forced_divisor():
