@@ -1,7 +1,7 @@
 """GF(p) helpers for the smoothness degree count and the quintic net.
 
 Univariate polynomials are int lists, low degree first, coefficients
-reduced mod p.  ``torsion._modp_resultant_x`` builds each eliminant mod
+reduced mod p.  ``torsion._modp_resultants_x`` builds each eliminant mod
 p as ``forms.resultant_eliminate`` builds it over Z: the forms
 specialized at t = 0 .. mn by ``forms._specializations``, then
 ``resultant_mod`` at each point where Z uses an integer Sylvester

@@ -8,19 +8,23 @@ double at all six points (Coble; Dolgachev & Ortland, Asterisque 165,
 1988); the images of those conics are the associated configuration.
 :func:`second_model` proves the contraction exactly in four steps:
 
-1. Products.  g_i = f_i f_(i+1) L_(i,i+1), with L_(i,i+1) the line
-   through x_i and x_(i+1) and indices mod 6, is double at all six
-   points: two of its three factors vanish at each of them.
+1. Products.  The six conics come from one inverse: column i of the
+   inverse of the 6x6 Veronese matrix of the points vanishes at every
+   x_j with j != i and is 1 at x_i, so it spans f_i
+   (:func:`exceptional_conics`).  g_i = f_i f_(i+1) L_(i,i+1), with
+   L_(i,i+1) the line through x_i and x_(i+1) and indices mod 6, is
+   double at all six points: two of its three factors vanish at each.
 2. Dimension.  The 18 Taylor conditions of double points have rank 18
    mod a prime, hence over Q, so dim V = 3.  No f_i may be a line pair
    (that takes three collinear points), and dim V = 3 keeps the f_i
    pairwise distinct (six points on one smooth conic give dimension 4).
-   So the g_i span V: a relation a g_0 + b g_1 + c g_2 = 0 restricted
-   to f_1 gives c = 0, and dividing by f_1 leaves a f_0 L_01 =
-   -b f_2 L_12, so a = b = 0.
-3. Basis.  Reduced from the right, the g_i give the basis that the
-   kernel of the conditions gives (``linalg.row_space_basis``), and a
-   form's coordinates in it are its entries at the identity columns F.
+   So g_0, g_1, g_2 span V: a relation a g_0 + b g_1 + c g_2 = 0
+   restricted to f_1 gives c = 0, and dividing by f_1 leaves a f_0 L_01
+   = -b f_2 L_12, so a = b = 0.
+3. Basis.  Reduced from the right, g_0, g_1, g_2 give the basis that
+   the kernel of the conditions gives (``linalg.row_space_basis``), and
+   the coordinates of every g_i in it are its entries at the identity
+   columns F.
 4. Images.  g_(i-1) and g_i both vanish on f_i, and g_(i+1) does not,
    so every point of f_i outside the finite base locus maps to
    g_(i-1)[F] x g_i[F], which is nonzero as g_(i-1) and g_i are not
@@ -34,11 +38,12 @@ conics through the rational configuration points they already contain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from ._modp import SCREEN_PRIMES, rank_mod
 from .forms import Mono, TernaryForm, monomials_of_degree
-from .linalg import clear_denominators, rat, row_space_basis
+from .linalg import _integer_row, _rref, clear_denominators, rat, row_space_basis
 from .plane import (
     Config6,
     DegenerateFiveTupleError,
@@ -53,12 +58,40 @@ class ContractionError(RuntimeError):
     """The quintic net does not contract a conic to a point."""
 
 
-def exceptional_conics(c: Config6) -> tuple[TernaryForm, ...]:
-    """The six conics f_i through all configuration points except x_i.
+def _inverse_veronese_columns(c: Config6) -> list[list[int]] | None:
+    """The columns of V^-1 as primitive integer vectors, or None when V,
+    the Veronese matrix of the configuration points, is singular.
 
-    f_i(x_j) = 0 exactly when i != j; requires general position (five
-    points of such a configuration always determine one conic).
+    Row j of V holds the conic monomials at x_j, cleared of denominators
+    (the one condition of ``integer_multiplicity_rows(2, x_j, 1)``; a row
+    scale only rescales one column of V^-1).  Column i of V^-1 is row i
+    of (V^T)^-1, and Gauss-Jordan of [V^T | I] leaves a multiple of that
+    row in the right half of row i.
     """
+    columns = [integer_multiplicity_rows(2, p, 1)[0] for p in c.points]
+    red, pivots = _rref([[*row, *(int(r == k) for k in range(6))]
+                         for r, row in enumerate(zip(*columns))])
+    if pivots != list(range(6)):
+        return None
+    return [_integer_row(row[6:]) for row in red]
+
+
+def exceptional_conics(c: Config6) -> tuple[TernaryForm, ...]:
+    """The six conics f_i through all configuration points except x_i,
+    each canonically scaled.
+
+    f_i(x_j) = 0 exactly when i != j.  When the Veronese matrix V of the
+    points is nonsingular, every five of them determine one conic, and
+    f_i spans column i of V^-1, which takes one elimination for all six.
+    Otherwise each five-tuple is solved with ``conic_through``: six
+    points on one conic give six equal conics, and a five-tuple with
+    more than one conic raises ``ValueError``.
+    """
+    vectors = _inverse_veronese_columns(c)
+    if vectors is not None:
+        leads = (next(x for x in v if x) for v in vectors)
+        return tuple(TernaryForm.from_coefficient_vector(2, [Fraction(x, lead) for x in v])
+                     for v, lead in zip(vectors, leads))
     out = []
     for i in range(6):
         others = [c.points[j] for j in range(6) if j != i]
@@ -190,10 +223,10 @@ def second_model(c: Config6) -> DoubleSixRealization:
         line = dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), _cross(ints[i], ints[j])))
         g = _product([factors[i], factors[j], line])
         products.append([g.get(m, 0) for m in quintics])
-    basis, free = row_space_basis(products)
+    basis, free = row_space_basis(products[:3])
     if len(free) != 3:
         raise ContractionError(
-            f"the products f_i f_(i+1) L_(i,i+1) span {len(free)} dimensions of the quintic net"
+            f"the products g_0, g_1, g_2 span {len(free)} dimensions of the quintic net"
         )
     coords = [[g[k] for k in free] for g in products]
     images = []

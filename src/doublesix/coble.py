@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
-from .association import second_model
-from .linalg import Matrix, determinant, rat
+from .association import _cross, second_model
+from .linalg import Matrix, clear_denominators, determinant, rat
 from .perms import Perm, class_size
 from .plane import Config6
 
@@ -86,12 +88,24 @@ def coble_vector(c: Config6) -> CobleVector:
     """Evaluate the six generators on the configuration as given.
 
     The values depend on the chosen representatives (not only on the
-    points), transforming with weights (1,1,1,1,1,2).
+    points), transforming with weights (1,1,1,1,1,2).  With row i as
+    n_i / d_i, each bracket D_T is the integer determinant of the n_i
+    over the product of its three d_i.  Each of x0..x4 uses every label
+    once and each monomial of x5 every label twice, so with d the
+    product of all six d_i, x0..x4 are integers over d and x5 one over
+    d^2: one ``Fraction`` per value.
     """
-    xs = [bracket(c, t) * bracket(c, _complement(t)) for t in GENERATOR_PARTITIONS]
-    x5 = (
-        bracket(c, (1, 2, 3)) * bracket(c, (1, 4, 5)) * bracket(c, (2, 4, 6)) * bracket(c, (3, 5, 6))
-        - bracket(c, (1, 2, 4)) * bracket(c, (1, 3, 5)) * bracket(c, (2, 3, 6)) * bracket(c, (4, 5, 6))
+    ints, dens = zip(*(clear_denominators(rep) for rep in c.reps))
+    d = prod(dens)
+    D = {}
+    for t in combinations(range(1, 7), 3):
+        a, b, e = (ints[i - 1] for i in t)
+        D[t] = sum(x * y for x, y in zip(a, _cross(b, e)))
+    xs = [Fraction(D[t] * D[_complement(t)], d) for t in GENERATOR_PARTITIONS]
+    x5 = Fraction(
+        D[1, 2, 3] * D[1, 4, 5] * D[2, 4, 6] * D[3, 5, 6]
+        - D[1, 2, 4] * D[1, 3, 5] * D[2, 3, 6] * D[4, 5, 6],
+        d * d,
     )
     return CobleVector(tuple(xs) + (x5,), c.reps)
 

@@ -14,7 +14,7 @@ common denominator, forming one ``Fraction`` at the end.
 Elimination evaluates too.  :func:`resultant_eliminate` specializes
 both integer forms at (u, v) = (t, 1) for t = 0 .. mn with
 ``_specializations``, takes each value as an integer Sylvester
-determinant, and interpolates over Z.  ``torsion._modp_resultant_x``
+determinant, and interpolates over Z.  ``torsion._modp_resultants_x``
 builds the mod-p eliminants with the same specialization and a
 resultant over GF(p).
 """

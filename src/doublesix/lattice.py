@@ -119,7 +119,8 @@ def blowdown_line_class(sixer: tuple[PicClass, ...]) -> PicClass:
 def double_sixes() -> list[DoubleSix]:
     """All 36 double sixes among the 27 lines, from Schlaefli's list.
 
-    With C_ij = L - E_i - E_j they are: the classical pair (E; F); for
+    With C_ij = L - E_i - E_j, taken from ``lines_27()`` like every
+    other class, they are: the classical pair (E; F); for
     each pair i < j, (E_i, F_i, C_jk ...; E_j, F_j, C_ik ...) over the
     four k outside {i, j}; for each triple i < j < k with complement
     l < m < n, (E_i, E_j, E_k, C_mn, C_ln, C_lm; C_jk, C_ik, C_ij, F_l,
@@ -128,19 +129,20 @@ def double_sixes() -> list[DoubleSix]:
     that A_i . B_i = 0.  The classical pair comes first; the rest follow
     in lexicographic order of their sorted A-sixer.
     """
-    index = {cls: n for n, cls in enumerate(lines_27())}
-
-    def c(i: int, j: int) -> PicClass:
-        return L - E[i] - E[j]
+    lines = lines_27()
+    index = {cls: n for n, cls in enumerate(lines)}
+    C: dict[tuple[int, int], PicClass] = {}
+    for (i, j), cls in zip(combinations(range(6), 2), lines[6:21]):
+        C[i, j] = C[j, i] = cls
 
     pairs = [(E, F)]
     for i, j in combinations(range(6), 2):
         rest = [k for k in range(6) if k not in (i, j)]
-        pairs.append(((E[i], F[i], *(c(j, k) for k in rest)), (E[j], F[j], *(c(i, k) for k in rest))))
+        pairs.append(((E[i], F[i], *(C[j, k] for k in rest)), (E[j], F[j], *(C[i, k] for k in rest))))
     for i, j, k in combinations(range(6), 3):
         l, m, n = (t for t in range(6) if t not in (i, j, k))
-        pairs.append(((E[i], E[j], E[k], c(m, n), c(l, n), c(l, m)),
-                      (c(j, k), c(i, k), c(i, j), F[l], F[m], F[n])))
+        pairs.append(((E[i], E[j], E[k], C[m, n], C[l, n], C[l, m]),
+                      (C[j, k], C[i, k], C[i, j], F[l], F[m], F[n])))
     out = []
     for pair in pairs:
         a, b = sorted((sorted(six, key=index.get) for six in pair), key=lambda s: list(map(index.get, s)))

@@ -251,7 +251,8 @@ def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise ValueError("inverse of a non-square matrix")
     n = m.nrows
-    red, pivots = _rref([list(r) + list(Matrix.identity(n).rows[i]) for i, r in enumerate(m.rows)])
+    eye = Matrix.identity(n).rows
+    red, pivots = _rref([list(r) + list(e) for r, e in zip(m.rows, eye)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return Matrix([[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(red)])

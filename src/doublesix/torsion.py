@@ -410,8 +410,9 @@ def _singular_at(form: TernaryForm, points: list) -> bool:
     )
 
 
-def _modp_resultant_x(f: TernaryForm, g: TernaryForm, p: int) -> list[int] | None:
-    """Res_x(f, g) mod p as a binary coefficient list, or None on bad reduction.
+def _modp_resultants_x(f: TernaryForm, others: Sequence[TernaryForm], p: int) -> list:
+    """Res_x(f, g) mod p for each g in ``others``, as a binary coefficient
+    list, or None on bad reduction.
 
     Entry j is the coefficient of y^j z^(mn - j), as in
     ``resultant_eliminate``.  A denominator divisible by p, or an x^m or
@@ -421,33 +422,47 @@ def _modp_resultant_x(f: TernaryForm, g: TernaryForm, p: int) -> list[int] | Non
     This is the construction of ``resultant_eliminate`` over GF(p).
     Each form's integer numerators, over its common denominator, are
     reduced mod p with one inverse of that denominator and specialized
-    at (y, z) = (t, 1) by ``forms._specializations``.  Both leading
-    x-coefficients are nonzero constants mod p, so the resultant
-    commutes with reduction and with specialization:
+    at (y, z) = (t, 1) by ``forms._specializations``; f once, at
+    t = 0 .. mn for the largest n, whose prefix serves a smaller n.
+    Both leading x-coefficients are nonzero constants mod p, so the
+    resultant commutes with reduction and with specialization:
     Res_x(f, g)(t, 1) = Res(f(x, t, 1), g(x, t, 1)) over GF(p), with both
     univariate polynomials at full degree.  That binary form has degree
     mn, so its values at t = 0 .. mn, distinct because p > mn, determine
     it: each value comes from ``_modp.resultant_mod`` and the coefficients
-    from ``_modp.interpolate_mod``.  The list is the exact eliminant of
+    from ``_modp.interpolate_mod``.  Each list is the exact eliminant of
     the reduced forms, reduced mod p, entry by entry.
     """
-    m, n = f.degree, g.degree
-    if p <= m * n:
-        raise ValueError(f"interpolating a degree-{m * n} eliminant needs p > {m * n}")
-    specialized = []
-    for form in (f, g):
-        terms = form.terms()
-        nums, den = clear_denominators([c for _, c in terms])
-        if den % p == 0:  # p divides a coefficient's denominator
-            return None
-        inv = pow(den, -1, p)
-        reduced = ((mono, c * inv % p) for (mono, _), c in zip(terms, nums))
-        polys = _specializations(form.degree, reduced, 0, m * n + 1)
-        if polys[0][-1] == 0:  # the x^deg coefficient vanishes mod p
-            return None
-        specialized.append(polys)
-    values = [_modp.resultant_mod(fu, gu, p) for fu, gu in zip(*specialized)]
-    return _modp.interpolate_mod(list(range(m * n + 1)), values, p)
+    m = f.degree
+    top = m * max(g.degree for g in others)
+    if p <= top:
+        raise ValueError(f"interpolating a degree-{top} eliminant needs p > {top}")
+    fs = _modp_specialized(f, p, top + 1)
+    out = []
+    for g in others:
+        gs = None if fs is None else _modp_specialized(g, p, m * g.degree + 1)
+        if gs is None:
+            out.append(None)
+            continue
+        values = [_modp.resultant_mod(fu, gu, p) for fu, gu in zip(fs, gs)]
+        out.append(_modp.interpolate_mod(list(range(len(values))), values, p))
+    return out
+
+
+def _modp_specialized(form: TernaryForm, p: int, count: int) -> list[list[int]] | None:
+    """The form mod p at (y, z) = (t, 1) for t = 0 .. count - 1, as
+    polynomials in x; None when p divides the common denominator or the
+    x^deg coefficient."""
+    terms = form.terms()
+    nums, den = clear_denominators([c for _, c in terms])
+    if den % p == 0:  # p divides a coefficient's denominator
+        return None
+    inv = pow(den, -1, p)
+    reduced = ((mono, c * inv % p) for (mono, _), c in zip(terms, nums))
+    polys = _specializations(form.degree, reduced, 0, count)
+    if polys[0][-1] == 0:  # the x^deg coefficient vanishes mod p
+        return None
+    return polys
 
 
 def _modp_gcd_degree(fx: TernaryForm, fy: TernaryForm, fz: TernaryForm) -> int | None:
@@ -455,11 +470,12 @@ def _modp_gcd_degree(fx: TernaryForm, fy: TernaryForm, fz: TernaryForm) -> int |
 
     p is the first prime of ``_modp.SCREEN_PRIMES`` at which both
     eliminants reduce and neither vanishes; None when there is no such
-    prime.  The gcd of binary forms is the gcd of the dehomogenized parts
-    times the smaller of the two powers of v.
+    prime; ``_modp_resultants_x`` reduces and specializes fx once per
+    prime for both.  The gcd of binary forms is the gcd of the
+    dehomogenized parts times the smaller of the two powers of v.
     """
     for p in _modp.SCREEN_PRIMES:
-        elims = [_modp_resultant_x(fx, g, p) for g in (fy, fz)]
+        elims = _modp_resultants_x(fx, (fy, fz), p)
         if any(e is None or not any(e) for e in elims):
             continue
         (a_poly, a_v), (b_poly, b_v) = (_trailing_v_split(e) for e in elims)

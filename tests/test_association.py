@@ -7,7 +7,7 @@ import pytest
 
 from test_integer_evaluation import near_degenerate_configs
 
-from doublesix import association
+from doublesix import association, plane
 from doublesix.association import (
     ContractionError,
     DoubleSixRealization,
@@ -19,12 +19,28 @@ from doublesix.linalg import Matrix, determinant
 from doublesix.plane import (
     REF6,
     Config6,
+    DegenerateFiveTupleError,
     PointP2,
+    conic_through,
     is_general_position,
     linear_system,
     projective_equivalence,
     random_general_config,
 )
+
+
+def reference_exceptional_conics(c):
+    """The former ``exceptional_conics``: one 5 x 6 kernel per five-tuple."""
+    out = []
+    for i in range(6):
+        others = [c.points[j] for j in range(6) if j != i]
+        try:
+            out.append(conic_through(others))
+        except DegenerateFiveTupleError as exc:
+            raise ValueError(
+                f"configuration is not in general position near label {i + 1}: {exc}"
+            ) from exc
+    return tuple(out)
 
 
 def reference_second_model(c):
@@ -101,15 +117,66 @@ def test_conics_are_irreducible():
 
 def test_conics_on_degenerate_five_tuple_raises():
     # Four collinear points leave some five-point subsets without a
-    # unique conic; the error propagates.
+    # unique conic; the error propagates, with the reference's text.
     degenerate = Config6(
         [
             tuple(Fraction(x) for x in row)
             for row in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (1, 1, 1), (1, 2, 3)]
         ]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as want:
+        reference_exceptional_conics(degenerate)
+    with pytest.raises(ValueError) as got:
         exceptional_conics(degenerate)
+    assert str(got.value) == str(want.value)
+    assert "near label 5" in str(got.value)
+
+
+def test_exceptional_conics_match_the_five_tuple_reference():
+    rng = random.Random("conics-differential")
+    configs = [REF6] + [random_general_config(rng, bound=20) for _ in range(4)]
+    configs.append(random_general_config(rng, bound=2**60))
+    configs += near_degenerate_configs(rng, 2)
+    configs += [second_model(c).associated for c in configs]
+    # Line-pair conics: the Veronese matrix is nonsingular all the same.
+    configs += [COLLINEAR, ON_A_CONIC]
+    assert association._inverse_veronese_columns(COLLINEAR) is not None
+    assert association._inverse_veronese_columns(ON_A_CONIC) is None
+    for c in configs:
+        got, want = exceptional_conics(c), reference_exceptional_conics(c)
+        assert got == want
+        assert [f.to_json() for f in got] == [f.to_json() for f in want]
+
+
+def test_general_position_takes_one_elimination(monkeypatch):
+    """No five-tuple kernel in general position, and step 3 reduces only
+    g_0, g_1, g_2; six points on a conic still solve all six five-tuples."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(association, "conic_through", counting("conic_through", conic_through))
+    monkeypatch.setattr(plane, "kernel_basis", counting("kernel_basis", plane.kernel_basis))
+    reduced = []
+    row_space_basis = association.row_space_basis
+
+    def recording(rows):
+        reduced.append(len(rows))
+        return row_space_basis(rows)
+
+    monkeypatch.setattr(association, "row_space_basis", recording)
+    c = random_general_config(random.Random("one-elimination"), bound=20)
+    exceptional_conics(c)
+    second_model(c)
+    second_model(second_model(c).associated)
+    assert calls == []
+    assert reduced == [3, 3, 3]
+    exceptional_conics(ON_A_CONIC)
+    assert calls.count("conic_through") == 6 and calls.count("kernel_basis") == 6
 
 
 def test_two_conics_meet_exactly_in_shared_points():

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from doublesix.association import second_model
 from doublesix.coble import (
     _PARTITION_PRODUCTS,
     CERTIFIED_RELATION_VARIANT,
@@ -15,6 +16,8 @@ from doublesix.coble import (
     GENERATOR_PARTITIONS,
     REFERENCE_ACTION_ROWS,
     ActionRecord,
+    CobleVector,
+    _complement,
     bracket,
     character_report,
     coble_vector,
@@ -86,6 +89,34 @@ def test_rescaling_covariance():
     w = coble_vector(REF6.rescale(lam))
     assert w.degree_one == tuple(prod * x for x in v.degree_one)
     assert w[5] == prod * prod * v[5]
+
+
+def reference_coble_vector(c):
+    """The former ``coble_vector``: every bracket a ``determinant`` of a
+    ``Fraction`` matrix, with repeats."""
+    xs = [bracket(c, t) * bracket(c, _complement(t)) for t in GENERATOR_PARTITIONS]
+    x5 = (
+        bracket(c, (1, 2, 3)) * bracket(c, (1, 4, 5)) * bracket(c, (2, 4, 6)) * bracket(c, (3, 5, 6))
+        - bracket(c, (1, 2, 4)) * bracket(c, (1, 3, 5)) * bracket(c, (2, 3, 6)) * bracket(c, (4, 5, 6))
+    )
+    return CobleVector(tuple(xs) + (x5,), c.reps)
+
+
+def test_coble_vector_matches_the_bracket_reference():
+    rng = random.Random("coble-differential")
+    configs = [REF6] + [random_general_config(rng, bound=20) for _ in range(4)]
+    configs.append(random_general_config(rng, bound=2**60))
+    configs += [second_model(c).associated for c in configs]
+    assert max(abs(x.numerator) for x in configs[-1].reps[0]).bit_length() > 100
+
+    def factor():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 30))
+
+    configs += [c.rescale([factor() for _ in range(6)]) for c in configs]
+    configs.append(Config6([[factor() for _ in range(3)] for _ in range(6)]))
+    configs += [rows for _, rows in chart_grid(range(2))]
+    for c in configs:
+        assert coble_vector(c) == reference_coble_vector(c)
 
 
 def test_y_basis_change():

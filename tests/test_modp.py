@@ -12,7 +12,12 @@ from doublesix._poly import pgcd
 from doublesix.forms import TernaryForm
 from doublesix.linalg import Matrix, determinant, rank
 from doublesix.plane import REF6, integer_multiplicity_rows, random_general_config
-from doublesix.torsion import _modp_resultant_x
+from doublesix.torsion import _modp_resultants_x
+
+
+def _modp_resultant_x(f, g, p):
+    """Res_x(f, g) mod p for one pair, through ``torsion._modp_resultants_x``."""
+    return _modp_resultants_x(f, [g], p)[0]
 
 
 def frac_mod(x, p):

@@ -10,7 +10,7 @@ import pytest
 
 from test_forms import pmul
 from test_integer_evaluation import near_degenerate_configs
-from test_modp import frac_mod, peval
+from test_modp import _modp_resultant_x, frac_mod, peval
 from test_plane import reference_tangent_cone
 
 from doublesix import _modp, forms, plane, torsion
@@ -32,7 +32,6 @@ from doublesix.torsion import (
     NodeDiagnosis,
     _admissible_frames,
     _binary_coefficients,
-    _modp_resultant_x,
     _node_factor_audit,
     _trailing_v_split,
     certify,
@@ -396,15 +395,15 @@ def test_degree_count_above_six_falls_back_to_the_exact_eliminants(monkeypatch, 
     """A common factor u + 3v (or v) added to both eliminants mod p lifts the
     gcd to degree 7, which proves nothing; the exact route must decide."""
     form = conic_product_pencil(REF6).member(1, 1).canonical()
-    original = torsion._modp_resultant_x
+    original = torsion._modp_resultants_x
 
-    def with_extra_factor(f, g, p):
-        res = original(f, g, p)
-        return None if res is None else [c % p for c in binary_mul(res, extra)]
+    def with_extra_factor(f, others, p):
+        return [None if res is None else [c % p for c in binary_mul(res, extra)]
+                for res in original(f, others, p)]
 
     degrees = record_gcd_degrees(monkeypatch)
     calls = count_exact_eliminations(monkeypatch)
-    monkeypatch.setattr(torsion, "_modp_resultant_x", with_extra_factor)
+    monkeypatch.setattr(torsion, "_modp_resultants_x", with_extra_factor)
     verdict = smooth_elsewhere(form, REF6.points)
     assert degrees == [7]
     assert len(calls) == 2
@@ -418,15 +417,15 @@ def test_degree_count_moves_to_the_next_prime(monkeypatch, bad, primes):
     """An eliminant that reduces badly or to zero at the first prime sends the
     count to the second; at both primes the exact route decides."""
     form = conic_product_pencil(REF6).member(1, 1).canonical()
-    original = torsion._modp_resultant_x
+    original = torsion._modp_resultants_x
     broken = _modp.SCREEN_PRIMES[:primes]
     seen = []
 
-    def failing(f, g, p):
+    def failing(f, others, p):
         seen.append(p)
-        return bad if p in broken else original(f, g, p)
+        return [bad] * len(others) if p in broken else original(f, others, p)
 
-    monkeypatch.setattr(torsion, "_modp_resultant_x", failing)
+    monkeypatch.setattr(torsion, "_modp_resultants_x", failing)
     verdict = smooth_elsewhere(form, REF6.points)
     assert verdict_key(verdict) == (True, 4, "only the six nodes are singular", (1,) * 6)
     assert verdict.route == ("degree count" if primes == 1 else "exact")
@@ -1228,6 +1227,32 @@ def test_screen_resultant_is_none_on_bad_reduction():
         assert _modp_resultant_x(fx, fy, _modp.SCREEN_PRIMES[1]) is not None
 
 
+def test_gcd_degree_specializes_fx_once_per_prime(monkeypatch):
+    """Both eliminants of the degree count share one specialization of fx,
+    and ``_modp_resultants_x`` returns ``_modp_resultant_x`` of each form,
+    also when the forms differ in degree."""
+    form = conic_product_pencil(REF6).member(1, 1).canonical()
+    frames = _admissible_frames(form, [q.coords for q in REF6.points])
+    moved = next(frame for frame, _ in frames if frame is not None)[0]
+    fx, fy, fz = (moved.partial(v) for v in range(3))
+    lower = fx.partial(0)
+    for p in _modp.SCREEN_PRIMES:
+        for others in ((fy, fz), (lower, fz), (fz, lower)):
+            got = torsion._modp_resultants_x(fx, others, p)
+            assert got == [_modp_resultant_x(fx, g, p) for g in others]
+    specialized = []
+    original = torsion._modp_specialized
+
+    def counting(f, p, count):
+        specialized.append((f, p))
+        return original(f, p, count)
+
+    monkeypatch.setattr(torsion, "_modp_specialized", counting)
+    assert torsion._modp_gcd_degree(fx, fy, fz) is not None
+    first = _modp.SCREEN_PRIMES[0]
+    assert specialized == [(fx, first), (fy, first), (fz, first)]
+
+
 def test_smooth_screen_hints_match_the_evaluation_reference(monkeypatch):
     rng = random.Random("screen-hint-differential")
     candidates = [(REF6, reducible_candidate())]
@@ -1235,7 +1260,10 @@ def test_smooth_screen_hints_match_the_evaluation_reference(monkeypatch):
         pencil = conic_product_pencil(config)
         candidates += [(config, pencil.member(1, k).canonical()) for k in (1, 2)]
     hints = [smooth_screen(form, config.points) for config, form in candidates]
-    monkeypatch.setattr(torsion, "_modp_resultant_x", reference_resultant_x)
+    monkeypatch.setattr(
+        torsion, "_modp_resultants_x",
+        lambda f, others, p: [reference_resultant_x(f, g, p) for g in others],
+    )
     assert [smooth_screen(form, config.points) for config, form in candidates] == hints
     assert hints[0] is False and hints.count(True) == len(hints) - 1
 
