@@ -5,8 +5,8 @@ reduced mod p.  ``torsion._modp_resultants_x`` builds each eliminant mod
 p as ``forms.resultant_eliminate`` builds it over Z: the forms
 specialized at t = 0 .. mn by ``forms._specializations``, then
 ``resultant_mod`` at each point where Z uses an integer Sylvester
-determinant, then ``interpolate_mod``; ``gcd_mod`` then takes the gcd
-of the two eliminants.
+determinant, then the same ``forms._newton_interpolate`` and a division
+by mn! mod p; ``gcd_mod`` then takes the gcd of the two eliminants.
 
 A mod-p answer proves a fact in two places.  The first is ``rank_mod``
 in ``association.second_model``: a minor that is nonzero mod p is a
@@ -100,29 +100,3 @@ def resultant_mod(f: list[int], g: list[int], p: int) -> int:
         f, g = g, r
     return res * pow(g[0], len(f) - 1, p) % p
 
-
-def interpolate_mod(xs: list[int], ys: list[int], p: int) -> list[int]:
-    """The polynomial of degree < len(xs) with value ys[i] at xs[i], over GF(p).
-
-    Newton's divided differences, then the Newton form expanded by
-    Horner's rule.  The xs must be distinct mod p.  The list has exactly
-    len(xs) entries and is not trimmed: a binary form read from it keeps
-    its power of v in the trailing zeros.
-    """
-    n = len(xs)
-    c = [y % p for y in ys]
-    inverses: dict[int, int] = {}  # equally spaced xs repeat each difference
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            d = xs[i] - xs[i - k]
-            if d not in inverses:
-                inverses[d] = pow(d, -1, p)
-            c[i] = (c[i] - c[i - 1]) * inverses[d] % p
-    out = [0] * n
-    for k in range(n - 1, -1, -1):
-        # out <- out * (u - xs[k]) + c[k]; out has degree n - 2 - k here.
-        xk = xs[k]
-        for j in range(n - 1 - k, 0, -1):
-            out[j] = (out[j - 1] - xk * out[j]) % p
-        out[0] = (c[k] - xk * out[0]) % p
-    return out

@@ -207,11 +207,9 @@ def second_model(c: Config6) -> DoubleSixRealization:
                 f"quintic system has dimension {dimension}, expected 3; "
                 "the configuration is degenerate"
             )
-    factors = []
-    for i, f in enumerate(conics):
-        monos, coeffs = zip(*f.terms())
-        factors.append(dict(zip(monos, clear_denominators(coeffs)[0])))
-        if _is_line_pair(factors[i]):
+    factors = [f.integer_terms()[0] for f in conics]
+    for i, factor in enumerate(factors):
+        if _is_line_pair(factor):
             raise ContractionError(
                 f"conic {i + 1} is a line pair: three configuration points are collinear"
             )

@@ -2,8 +2,9 @@
 
 Every subcommand assembles a deterministic report (see ``report``):
 exit code 0 means all checks passed, 1 means some check legitimately
-failed, 2 means the invocation or input was malformed.  Timing goes to
-stderr so report bytes depend only on inputs and seed.
+failed, 2 means the invocation or input was malformed, or a result has
+an integer too long to print.  Timing goes to stderr so report bytes
+depend only on inputs and seed.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from .lattice import (
     double_sixes,
     lines_27,
 )
-from .plane import (
-    REF6,
-    Config6,
-    DegenerateFiveTupleError,
-    is_general_position,
-    projective_equivalence,
-)
+from .plane import REF6, Config6, is_general_position, projective_equivalence
 from .report import CheckResult, Report
 from .torsion import certify, certify_pencil
 from .verify import MODULI_NOTE, _check_action_table, verify_report
@@ -80,42 +75,28 @@ class InputError(Exception):
     """Malformed input file or configuration payload."""
 
 
+def _load(path: str, noun: str, parse):
+    """``parse`` of the JSON in ``path``; any failure is an ``InputError``
+    that names the path and the noun ("configuration" or "form")."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid {noun} in {path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"invalid {noun} in {path}: not UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+        raise InputError(f"invalid {noun} in {path}: {exc}") from exc
+    try:
+        return parse(payload)
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+        raise InputError(f"invalid {noun} in {path}: {exc}") from exc
+
+
 def _load_config(path: str | None) -> Config6:
-    if path is None:
-        return REF6
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"invalid configuration in {path}: not UTF-8: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
-        raise InputError(f"invalid configuration in {path}: {exc}") from exc
-    try:
-        return Config6.from_json(payload)
-    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
-        raise InputError(f"invalid configuration in {path}: {exc}") from exc
-
-
-def _load_form(path: str) -> TernaryForm:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid form in {path}: invalid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"invalid form in {path}: not UTF-8: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
-        raise InputError(f"invalid form in {path}: {exc}") from exc
-    try:
-        return TernaryForm.from_json(payload)
-    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
-        raise InputError(f"invalid form in {path}: {exc}") from exc
+    return REF6 if path is None else _load(path, "configuration", Config6.from_json)
 
 
 def _cmd_check_position(args: argparse.Namespace) -> Report:
@@ -140,7 +121,7 @@ def _cmd_conics(args: argparse.Namespace) -> Report:
     checks = []
     try:
         conics = exceptional_conics(config)
-    except (DegenerateFiveTupleError, ValueError) as exc:
+    except ValueError as exc:  # DegenerateFiveTupleError among them
         checks.append(
             CheckResult(
                 "exceptional-conics",
@@ -260,7 +241,7 @@ def _cmd_torsion(args: argparse.Namespace) -> Report:
     config = _load_config(args.input)
     inputs: dict = {"config": config.to_json()}
     if args.form:
-        form = _load_form(args.form)
+        form = _load(args.form, "form", TernaryForm.from_json)
         if form.is_zero:
             raise InputError(f"invalid form in {args.form}: the zero form is not a sextic")
         if form.degree != 6:
@@ -336,11 +317,21 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = _HANDLERS[args.command](args)
+        elapsed = time.perf_counter() - started
+        rendered = report.render_json()
+        text = rendered if args.json else report.render_text()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - started
-    rendered = report.render_json()
+    except ValueError as exc:
+        # str() of an integer beyond the interpreter's digit limit; accepted
+        # coordinates stay under it, but a result built from them may not.
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result has an integer of more than {limit} digits, "
+              "the limit for printing one", file=sys.stderr)
+        return 2
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -348,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
             return 2
-    sys.stdout.write(rendered if args.json else report.render_text())
+    sys.stdout.write(text)
     print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
     return 0 if report.passed else 1
 

@@ -6,6 +6,10 @@ The monomial order used everywhere (serialization, canonical scaling,
 linear-system columns) is descending lexicographic on the exponent
 triple, e.g. for conics: x^2, xy, xz, y^2, yz, z^2.
 
+A form's integer view is :meth:`TernaryForm.integer_terms`: its
+coefficients as integers over their least positive common denominator.
+Every consumer that works on integers reads a form through it.
+
 Evaluation runs on integers: :func:`integer_powers` writes a point as
 (x, y, z) / D with integer x, y, z and tabulates their powers, and
 :meth:`TernaryForm.eval` sums integer products over the coefficients'
@@ -14,9 +18,10 @@ common denominator, forming one ``Fraction`` at the end.
 Elimination evaluates too.  :func:`resultant_eliminate` specializes
 both integer forms at (u, v) = (t, 1) for t = 0 .. mn with
 ``_specializations``, takes each value as an integer Sylvester
-determinant, and interpolates over Z.  ``torsion._modp_resultants_x``
-builds the mod-p eliminants with the same specialization and a
-resultant over GF(p).
+determinant, and interpolates with ``_newton_interpolate``, which
+returns mn! times the eliminant over Z.  ``torsion._modp_resultants_x``
+builds the mod-p eliminants with the same specialization and
+interpolation, and a resultant over GF(p).
 """
 
 from __future__ import annotations
@@ -106,6 +111,13 @@ class TernaryForm:
         """Nonzero terms in descending lex order."""
         return sorted(self._coeffs.items(), reverse=True)
 
+    def integer_terms(self) -> tuple[dict[Mono, int], int]:
+        """The nonzero coefficients as integers over their least positive
+        common denominator N: ({mono: n}, N) with coefficient(mono) = n / N.
+        The zero form gives ({}, 1)."""
+        nums, den = clear_denominators(self._coeffs.values())
+        return dict(zip(self._coeffs, nums)), den
+
     def coefficient_vector(self) -> tuple[Fraction, ...]:
         return tuple(self.coefficient(m) for m in monomials_of_degree(self.degree))
 
@@ -180,8 +192,8 @@ class TernaryForm:
         ``Fraction`` terms.
         """
         (xs, ys, zs), den = integer_powers(point, self.degree)
-        nums, cden = clear_denominators(self._coeffs.values())
-        total = sum(n * xs[i] * ys[j] * zs[k] for (i, j, k), n in zip(self._coeffs, nums))
+        nums, cden = self.integer_terms()
+        total = sum(n * xs[i] * ys[j] * zs[k] for (i, j, k), n in nums.items())
         return Fraction(total, cden * den**self.degree)
 
     def partial(self, var: int) -> "TernaryForm":
@@ -283,6 +295,31 @@ def _specializations(
     return out
 
 
+def _newton_interpolate(values: Sequence[int]) -> tuple[list[int], int]:
+    """(n! P, n!) for the polynomial P of degree at most n with
+    P(t) = values[t] at the nodes t = 0 .. n.
+
+    The list is low degree first, with all n + 1 entries, untrimmed.  In
+    Newton form P(u) is the sum over k of D_k / k! times
+    u (u - 1) ... (u - k + 1), D_k the k-th forward difference at 0, and
+    n!/k! D_k is an integer, so Horner's rule expands n! P over Z.
+    """
+    n = len(values) - 1
+    diffs = list(values)
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    out = [0] * (n + 1)
+    weight = 1  # n! / k!
+    for k in range(n, -1, -1):
+        # out <- out * (u - k) + weight * diffs[k]
+        for j in range(n - k, 0, -1):
+            out[j] = out[j - 1] - k * out[j]
+        out[0] = weight * diffs[k] - k * out[0]
+        weight *= k
+    return out, factorial(n)
+
+
 def resultant_eliminate(f: TernaryForm, g: TernaryForm, var: int) -> TernaryForm:
     """Sylvester resultant of f and g with respect to one variable.
 
@@ -299,13 +336,11 @@ def resultant_eliminate(f: TernaryForm, g: TernaryForm, var: int) -> TernaryForm
     keeps both degrees in var and maps the Sylvester matrix of F and G
     to that of the specialized polynomials:
     Res_var(F, G)(t, 1) = Res(F(t, 1), G(t, 1)), an integer Sylvester
-    determinant for each t = 0 .. mn.  Res_var(F, G)(u, 1) is an integer
-    polynomial of degree at most mn, so its k-th forward difference at
-    0 is k! times its k-th Newton coefficient (u^j is an integer
-    combination of k! binom(u, k)): the division is exact, and Horner's
-    rule expands the Newton form on the nodes 0, 1, ...  Its coefficient
-    of u^i is that of u^i v^(mn - i), and Res_var(f, g) is
-    Res_var(F, G) / (N_f^n N_g^m).
+    determinant for each t = 0 .. mn.  Res_var(F, G)(u, 1) has degree
+    at most mn, so ``_newton_interpolate`` returns mn! times it.  Its
+    coefficient of u^i is that of u^i v^(mn - i), and Res_var(f, g) is
+    Res_var(F, G) / (N_f^n N_g^m): one ``Fraction`` per coefficient
+    divides by mn! N_f^n N_g^m.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of a zero form")
@@ -316,33 +351,23 @@ def resultant_eliminate(f: TernaryForm, g: TernaryForm, var: int) -> TernaryForm
         )
     u, v = (w for w in range(3) if w != var)
     total_degree = m * n
-    (fnums, fden), (gnums, gden) = (clear_denominators(h._coeffs.values()) for h in (f, g))
+    (fnums, fden), (gnums, gden) = f.integer_terms(), g.integer_terms()
     values = []
     for fu, gu in zip(
-        _specializations(m, zip(f._coeffs, fnums), var, total_degree + 1),
-        _specializations(n, zip(g._coeffs, gnums), var, total_degree + 1),
+        _specializations(m, fnums.items(), var, total_degree + 1),
+        _specializations(n, gnums.items(), var, total_degree + 1),
     ):
         # n shifted rows of F's coefficients, then m of G's, var^top first.
         rows = [[0] * s + fu[::-1] + [0] * (n - 1 - s) for s in range(n)]
         rows += [[0] * s + gu[::-1] + [0] * (m - 1 - s) for s in range(m)]
         values.append(_bareiss_int(rows))
 
-    # values[k] becomes the k-th forward difference at t = 0.
-    for k in range(1, total_degree + 1):
-        for i in range(total_degree, k - 1, -1):
-            values[i] -= values[i - 1]
-    coeffs = [0] * (total_degree + 1)
-    for k in range(total_degree, -1, -1):
-        # coeffs <- coeffs * (u - k) + values[k] / k!
-        for j in range(total_degree - k, 0, -1):
-            coeffs[j] = coeffs[j - 1] - k * coeffs[j]
-        coeffs[0] = values[k] // factorial(k) - k * coeffs[0]
-
-    scale = Fraction(1, fden**n * gden**m)
+    coeffs, weight = _newton_interpolate(values)
+    den = weight * fden**n * gden**m
     out: dict[Mono, Fraction] = {}
     for i, c in enumerate(coeffs):
         mono = [0, 0, 0]
         mono[u] = i
         mono[v] = total_degree - i
-        out[tuple(mono)] = c * scale
+        out[tuple(mono)] = Fraction(c, den)
     return TernaryForm(total_degree, out)

@@ -21,7 +21,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .forms import Mono, TernaryForm, integer_powers, monomials_of_degree
-from .linalg import Matrix, clear_denominators, determinant, inverse, kernel_basis, rat
+from .linalg import Matrix, determinant, inverse, kernel_basis, rat
 from .perms import Perm, all_perms
 
 
@@ -303,12 +303,11 @@ def chart_coefficients(f: TernaryForm, p: PointP2, order: int) -> tuple[Fraction
     coefficients cleared to integers over den, each is one integer dot
     product with a row of that function over den * d^(n - order).
     """
-    terms = f.terms()
-    nums, den = clear_denominators([c for _, c in terms])
+    nums, den = f.integer_terms()
     orders = [(i, order - i) for i in range(order, -1, -1)]
-    rows, d = _integer_chart_columns([m for m, _ in terms], p, orders)
+    rows, d = _integer_chart_columns(list(nums), p, orders)
     scale = den * d ** max(f.degree - order, 0)  # rows above the degree are zero
-    return tuple(Fraction(sum(map(mul, nums, row)), scale) for row in rows)
+    return tuple(Fraction(sum(map(mul, nums.values(), row)), scale) for row in rows)
 
 
 def chart_quadratic_part(f: TernaryForm, p: PointP2) -> tuple[Fraction, Fraction, Fraction]:
@@ -366,22 +365,23 @@ def _maps_point(g: Matrix, p: PointP2, q: PointP2) -> bool:
     return PointP2(image) == q
 
 
+def _projectivities(c1: Config6, c2: Config6, perms: Iterable[Perm]):
+    """Yield (g, sigma) for each sigma of ``perms``, in order, for which the
+    projectivity g of ``frame_map`` sends every p_i to q_sigma(i)."""
+    pts1, pts2 = c1.points, c2.points
+    for sigma in perms:
+        g = frame_map(pts1[:4], [pts2[sigma(i)] for i in range(4)])
+        if g is not None and all(_maps_point(g, pts1[i], pts2[sigma(i)]) for i in range(4, 6)):
+            yield g, sigma
+
+
 def projective_stabilizer(c: Config6) -> list[tuple[Perm, Matrix]]:
     """All (permutation, matrix) pairs with g p_i proportional to p_sigma(i).
 
     Requires general position (any four points then form a frame).  The
     identity is always present; the list is sorted by image tuple.
     """
-    out = []
-    pts = c.points
-    for sigma in all_perms(6):
-        targets = [pts[sigma(i)] for i in range(4)]
-        g = frame_map(pts[:4], targets)
-        if g is None:
-            continue
-        if all(_maps_point(g, pts[i], pts[sigma(i)]) for i in range(4, 6)):
-            out.append((sigma, g))
-    return out
+    return [(sigma, g) for g, sigma in _projectivities(c, c, all_perms(6))]
 
 
 def projective_equivalence(
@@ -392,16 +392,8 @@ def projective_equivalence(
     With respect_labels the permutation is forced to be the identity.
     Returns the first match in permutation order, or None.
     """
-    pts1, pts2 = c1.points, c2.points
-    candidates = [Perm.identity(6)] if respect_labels else list(all_perms(6))
-    for sigma in candidates:
-        targets = [pts2[sigma(i)] for i in range(4)]
-        g = frame_map(pts1[:4], targets)
-        if g is None:
-            continue
-        if all(_maps_point(g, pts1[i], pts2[sigma(i)]) for i in range(4, 6)):
-            return g, sigma
-    return None
+    perms = [Perm.identity(6)] if respect_labels else all_perms(6)
+    return next(_projectivities(c1, c2, perms), None)
 
 
 # -- sampling --------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Sequence, Union
 
@@ -34,12 +35,13 @@ from .association import _is_line_pair, exceptional_conics, sample_points_on_con
 from .forms import (
     DegenerateEliminationError,
     TernaryForm,
+    _newton_interpolate,
     _specializations,
     integer_powers,
     monomials_of_degree,
     resultant_eliminate,
 )
-from .linalg import Matrix, Rational, clear_denominators, determinant, inverse, kernel_basis, rat
+from .linalg import Matrix, Rational, clear_denominators, inverse, kernel_basis, rat
 from .plane import (
     Config6,
     _integer_chart_columns,
@@ -151,10 +153,12 @@ def _proportionality_rows(
 
 
 def _integer_vectors(forms: Sequence[TernaryForm]) -> list[list[int]]:
-    """The forms' coefficient vectors over one common denominator."""
-    ints, _ = clear_denominators([c for g in forms for c in g.coefficient_vector()])
-    n = len(ints) // len(forms)
-    return [ints[i : i + n] for i in range(0, len(ints), n)]
+    """The forms' coefficient vectors over one common denominator, the lcm
+    of their own."""
+    cleared = [g.integer_terms() for g in forms]
+    common = lcm(*(den for _, den in cleared))
+    monos = monomials_of_degree(forms[0].degree)
+    return [[nums.get(m, 0) * (common // den) for m in monos] for nums, den in cleared]
 
 
 def _canonical_combination(coeffs: Sequence, members: Sequence[TernaryForm]) -> TernaryForm:
@@ -185,8 +189,7 @@ def _matching_vectors(
             raise ArithmeticError("the candidate is not singular at every configuration point")
         for i, conic in enumerate(exceptional_conics(config)):
             # The Hessian determinant is twice the line-pair discriminant.
-            conic_monos, conic_coeffs = zip(*conic.terms())
-            if _is_line_pair(dict(zip(conic_monos, clear_denominators(conic_coeffs)[0]))):
+            if _is_line_pair(conic.integer_terms()[0]):
                 raise ValueError(f"exceptional conic {i + 1} is singular")
             base = config.points[(i + 1) % 6]
             table = []
@@ -272,21 +275,17 @@ class SmoothnessVerdict:
         return f"{status} ({self.detail})"
 
 
-#: Coordinate frames tried by ``smooth_elsewhere`` and ``smooth_screen``.
-FRAMES = 4
-
-
-def _coordinate_changes() -> list[Matrix]:
-    mats = [Matrix.identity(3)]
-    attempt = 1
-    while len(mats) < FRAMES:
-        rng = random.Random(f"doublesix-smooth:{attempt}")
-        entries = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
-        m = Matrix(entries)
-        if determinant(m) != 0:
-            mats.append(m)
-        attempt += 1
-    return mats
+#: The coordinate frames tried in turn by ``smooth_elsewhere`` and
+#: ``smooth_screen``, as (matrix, inverse) pairs; the first is the identity.
+_FRAMES = [
+    (m, inverse(m))
+    for m in (
+        Matrix.identity(3),
+        Matrix([[3, -2, -3], [-3, -3, -3], [-3, -1, -3]]),
+        Matrix([[2, 1, 1], [0, 1, -3], [1, -1, -3]]),
+        Matrix([[3, -2, 1], [-2, -3, 3], [2, 1, -1]]),
+    )
+]
 
 
 def _binary_coefficients(form: TernaryForm) -> list[Fraction]:
@@ -370,11 +369,11 @@ def _node_factor_audit(
 def _admissible_frames(form: TernaryForm, node_coords: list):
     """Coordinate frames in which the vertical projection is usable.
 
-    Yields (moved form, moved nodes) for each catalog transform under
+    Yields (moved form, moved nodes) for each frame of ``_FRAMES`` under
     which the projection vertex avoids the curve, the eliminations stay
     proper, and the nodes project to distinct points.
     """
-    for index, transform in enumerate(_coordinate_changes()):
+    for index, (transform, undo) in enumerate(_FRAMES):
         # Frame 0 is the identity, under which the form is its own image.
         moved = form.substitute(transform) if index else form
         if (
@@ -384,7 +383,6 @@ def _admissible_frames(form: TernaryForm, node_coords: list):
         ):
             yield None, "projection center or axis meets the curve"
             continue
-        undo = inverse(transform)
         moved_nodes = [undo.apply(p) for p in node_coords]
         projections = [(q[1], q[2]) for q in moved_nodes]
         seen = set()
@@ -428,10 +426,12 @@ def _modp_resultants_x(f: TernaryForm, others: Sequence[TernaryForm], p: int) ->
     resultant commutes with reduction and with specialization:
     Res_x(f, g)(t, 1) = Res(f(x, t, 1), g(x, t, 1)) over GF(p), with both
     univariate polynomials at full degree.  That binary form has degree
-    mn, so its values at t = 0 .. mn, distinct because p > mn, determine
-    it: each value comes from ``_modp.resultant_mod`` and the coefficients
-    from ``_modp.interpolate_mod``.  Each list is the exact eliminant of
-    the reduced forms, reduced mod p, entry by entry.
+    mn, so its values at t = 0 .. mn determine it: each value comes from
+    ``_modp.resultant_mod``, ``forms._newton_interpolate`` returns mn!
+    times the interpolant over Z, and multiplying by the inverse of mn!
+    mod p, which exists because p > mn, leaves the interpolant.  Each
+    list is the exact eliminant of the reduced forms, reduced mod p,
+    entry by entry.
     """
     m = f.degree
     top = m * max(g.degree for g in others)
@@ -445,7 +445,9 @@ def _modp_resultants_x(f: TernaryForm, others: Sequence[TernaryForm], p: int) ->
             out.append(None)
             continue
         values = [_modp.resultant_mod(fu, gu, p) for fu, gu in zip(fs, gs)]
-        out.append(_modp.interpolate_mod(list(range(len(values))), values, p))
+        coeffs, weight = _newton_interpolate(values)
+        inv = pow(weight, -1, p)
+        out.append([c * inv % p for c in coeffs])
     return out
 
 
@@ -453,12 +455,11 @@ def _modp_specialized(form: TernaryForm, p: int, count: int) -> list[list[int]] 
     """The form mod p at (y, z) = (t, 1) for t = 0 .. count - 1, as
     polynomials in x; None when p divides the common denominator or the
     x^deg coefficient."""
-    terms = form.terms()
-    nums, den = clear_denominators([c for _, c in terms])
+    nums, den = form.integer_terms()
     if den % p == 0:  # p divides a coefficient's denominator
         return None
     inv = pow(den, -1, p)
-    reduced = ((mono, c * inv % p) for (mono, _), c in zip(terms, nums))
+    reduced = ((mono, c * inv % p) for mono, c in nums.items())
     polys = _specializations(form.degree, reduced, 0, count)
     if polys[0][-1] == 0:  # the x^deg coefficient vanishes mod p
         return None

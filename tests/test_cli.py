@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from doublesix import cli
 from doublesix.cli import main
 from doublesix.plane import REF6
 from doublesix.report import SCHEMA
@@ -263,6 +264,34 @@ def test_coble_flags_vanishing_generators_without_failing(tmp_path, capsys):
     assert evaluation["zero_coordinates"] == [0]
     relation = data["checks"][1]["details"]
     assert relation["residual"] == "0"
+
+
+HUGE = 10**4000 + 7
+HUGE_PAYLOAD = {"points": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, HUGE], [HUGE, 5, 1]]}
+
+
+@pytest.mark.parametrize("command", ["coble", "conics"])
+def test_results_too_long_to_print_exit_two(tmp_path, capsys, command):
+    """Coordinates under the loader's digit cap can give values over the
+    interpreter's limit for printing an integer."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_PAYLOAD))
+    code, out, err = run(capsys, [command, "--input", str(path), "--json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "4300 digits" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    code, out, _ = run(capsys, ["check-position", "--input", str(path), "--json"])
+    assert code == 0 and json.loads(out)["summary"]["status"] == "pass"
+
+
+def test_other_value_errors_still_surface(monkeypatch):
+    def broken(args):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setitem(cli._HANDLERS, "coble", broken)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        main(["coble"])
 
 
 def test_action_table_smoke(capsys):

@@ -16,6 +16,8 @@ from math import lcm
 
 import pytest
 
+from test_integer_evaluation import near_degenerate_configs
+
 from doublesix._poly import pdiv_exact, ptrim
 from doublesix.forms import (
     DegenerateEliminationError,
@@ -23,7 +25,8 @@ from doublesix.forms import (
     monomials_of_degree,
     resultant_eliminate,
 )
-from doublesix.linalg import Matrix, determinant
+from doublesix.association import exceptional_conics
+from doublesix.linalg import Matrix, clear_denominators, determinant
 from doublesix.plane import REF6, random_general_config
 from doublesix.torsion import _admissible_frames, conic_product_pencil, random_nodal_sextic
 
@@ -422,6 +425,33 @@ def test_resultant_degenerate_leading_coefficient_raises():
     g = X * X + Y * Y
     with pytest.raises(DegenerateEliminationError):
         resultant_eliminate(f * Y, g, 0)  # x-degree 1 < degree 3
+
+
+def reference_integer_terms(form):
+    """The nonzero terms cleared by ``clear_denominators``, as a map."""
+    terms = form.terms()
+    nums, den = clear_denominators([c for _, c in terms])
+    return dict(zip((m for m, _ in terms), nums)), den
+
+
+def test_integer_terms_clear_the_terms():
+    rng = random.Random("integer-terms")
+    pencil = conic_product_pencil(REF6)
+    forms = [pencil.member(1, k).canonical() for k in (1, 2, 5)] + [pencil.member(3, -7)]
+    for bound in (20, 20, 2**60):
+        config = random_general_config(rng, bound=bound)
+        forms.append(random_nodal_sextic(config, rng))
+        forms += exceptional_conics(config)
+    for config in near_degenerate_configs(rng, 2):
+        forms += exceptional_conics(config)
+    forms.append(TernaryForm(3, {(3, 0, 0): Fraction(-2, 3), (1, 1, 1): Fraction(5, 6)}))
+    assert any(reference_integer_terms(f)[1] > 2**60 for f in forms)
+    for f in forms + [TernaryForm.zero(6)]:
+        nums, den = f.integer_terms()
+        assert (nums, den) == reference_integer_terms(f)
+        assert all(type(n) is int and n != 0 for n in nums.values()) and den >= 1
+        assert all(f.coefficient(m) == Fraction(n, den) for m, n in nums.items())
+    assert TernaryForm.zero(6).integer_terms() == ({}, 1)
 
 
 def test_resultant_rejects_zero_form():

@@ -1,5 +1,6 @@
 """GF(p) helpers of the smoothness degree count against their rational counterparts."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ import pytest
 
 from test_forms import pmul
 
-from doublesix._modp import SCREEN_PRIMES, gcd_mod, interpolate_mod, rank_mod, resultant_mod
+from doublesix._modp import SCREEN_PRIMES, gcd_mod, rank_mod, resultant_mod
 from doublesix._poly import pgcd
-from doublesix.forms import TernaryForm
+from doublesix.forms import TernaryForm, _newton_interpolate
 from doublesix.linalg import Matrix, determinant, rank
 from doublesix.plane import REF6, integer_multiplicity_rows, random_general_config
 from doublesix.torsion import _modp_resultants_x
@@ -103,21 +104,64 @@ def test_resultant_mod_is_the_sylvester_determinant_mod_p():
         assert resultant_mod([-2], g, p) == pow(-2, 5, p) == sylvester_mod([-2], g, p)
 
 
+def interpolate_mod(xs, ys, p):
+    """The polynomial of degree < len(xs) with value ys[i] at xs[i], over GF(p).
+
+    Newton's divided differences, then the Newton form expanded by
+    Horner's rule.  The xs must be distinct mod p.  The list has exactly
+    len(xs) entries and is not trimmed.
+    """
+    n = len(xs)
+    c = [y % p for y in ys]
+    inverses = {}  # equally spaced xs repeat each difference
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            d = xs[i] - xs[i - k]
+            if d not in inverses:
+                inverses[d] = pow(d, -1, p)
+            c[i] = (c[i] - c[i - 1]) * inverses[d] % p
+    out = [0] * n
+    for k in range(n - 1, -1, -1):
+        # out <- out * (u - xs[k]) + c[k]; out has degree n - 2 - k here.
+        xk = xs[k]
+        for j in range(n - 1 - k, 0, -1):
+            out[j] = (out[j - 1] - xk * out[j]) % p
+        out[0] = (c[k] - xk * out[0]) % p
+    return out
+
+
+def newton_interpolate_mod(ys, p):
+    """The interpolant at the nodes 0 .. n over GF(p), as
+    ``torsion._modp_resultants_x`` reads it from ``_newton_interpolate``."""
+    coeffs, weight = _newton_interpolate(ys)
+    inv = pow(weight, -1, p)
+    return [c * inv % p for c in coeffs]
+
+
 def test_interpolate_mod_recovers_every_coefficient_untrimmed():
+    """The Newton routine on the nodes 0 .. 25, reduced mod p, equals the
+    divided-difference reference and the polynomial, untrimmed."""
     rng = random.Random("modp-interpolate")
     xs = list(range(26))
     for p in SCREEN_PRIMES:
         polys = [[0] * 26, [5] + [0] * 25, [0] * 20 + [1] + [0] * 5]
         polys += [[rng.randrange(p) for _ in range(rng.randint(1, 26))] for _ in range(12)]
+        assert len(polys) == 15
         for poly in polys:
             poly = poly + [0] * (26 - len(poly))
             ys = [peval(poly, x) % p for x in xs]
-            assert interpolate_mod(xs, ys, p) == poly
-        # Any distinct points serve, and the length is that of xs.
-        points = rng.sample(range(-10**6, 10**6), 8)
-        poly = [rng.randrange(p) for _ in range(6)] + [0, 0]
-        got = interpolate_mod(points, [peval(poly, x) % p for x in points], p)
-        assert got == poly and len(got) == 8
+            assert newton_interpolate_mod(ys, p) == interpolate_mod(xs, ys, p) == poly
+
+
+def test_newton_interpolation_returns_n_factorial_times_the_polynomial_over_z():
+    rng = random.Random("newton-z")
+    for _ in range(40):
+        n = rng.randint(0, 25)
+        poly = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, n + 1))]
+        poly += [0] * (n + 1 - len(poly))
+        coeffs, weight = _newton_interpolate([peval(poly, t) for t in range(n + 1)])
+        assert weight == math.factorial(n)
+        assert coeffs == [weight * c for c in poly]
 
 
 def test_modp_resultant_x_needs_a_prime_above_the_eliminant_degree():

@@ -13,7 +13,7 @@ from test_integer_evaluation import near_degenerate_configs
 from test_modp import _modp_resultant_x, frac_mod, peval
 from test_plane import reference_tangent_cone
 
-from doublesix import _modp, forms, plane, torsion
+from doublesix import _modp, forms, linalg, plane, torsion
 from doublesix._poly import pdiv_exact, pgcd, pprimitive, ptrim
 from doublesix.association import exceptional_conics, sample_points_on_conic
 from doublesix.forms import TernaryForm, resultant_eliminate
@@ -509,9 +509,31 @@ def test_a_seventh_double_point_on_a_node_line_is_found_in_the_identity_frame(
     """In the identity frame q and point 1 project to the same point, so only
     the check of the node lines can see q."""
     config, _, form = seventh_double_point_case(seed)
-    monkeypatch.setattr(torsion, "FRAMES", 1)
+    monkeypatch.setattr(torsion, "_FRAMES", torsion._FRAMES[:1])
     verdict = smooth_elsewhere(form, config.points)
     assert verdict_key(verdict) == (False, 1, "extra singular point on a node line", None)
+
+
+def test_smooth_elsewhere_builds_no_frame_matrix(monkeypatch):
+    """The frames and their inverses are built once, at import: a call that
+    moves the form into every frame computes no inverse and no determinant."""
+    calls = []
+
+    def record(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for module in (linalg, forms, plane, torsion):
+        for name in ("inverse", "determinant"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, record(name, getattr(module, name)))
+    form = conic_product_pencil(REF6).member(1, 1).canonical()
+    verdict = smooth_elsewhere(form, REF6.points)
+    assert verdict.certified and verdict.attempts == len(torsion._FRAMES) == 4
+    assert calls == []
 
 
 def frame_eliminants(config, form):
