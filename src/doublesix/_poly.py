@@ -1,21 +1,21 @@
 """Internal univariate polynomial helpers for ``torsion.smooth_elsewhere``.
 
-Polynomials are plain lists of coefficients, low degree first, with no
-trailing zeros (the zero polynomial is the empty list).  Binary
+Polynomials are plain lists of integer coefficients, low degree first,
+with no trailing zeros (the zero polynomial is the empty list).  Binary
 (homogeneous two-variable) forms reuse the same lists: a form of degree
 d is the length-(d+1) coefficient vector of u^i v^(d-i), and the degree
 is carried by the caller.  The helpers are exact division by a node
 linear and a primitive gcd over Z, for the node audit of the exact
-route and the check of the node lines; both accept int or Fraction
-coefficients.  The exact route's eliminants are built by evaluation in
+route and the check of the node lines.  Every caller reads its forms
+through ``TernaryForm.integer_terms()``, so only ``int`` coefficients
+arrive here.  The exact route's eliminants are built by evaluation in
 ``forms.resultant_eliminate``, with integer determinants, so no matrix
 of polynomials is ever formed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def ptrim(p: list) -> list:
@@ -24,8 +24,8 @@ def ptrim(p: list) -> list:
     return p
 
 
-def pdiv_exact(num: list, den: list) -> list:
-    """Exact quotient num/den; raises if the division leaves a remainder."""
+def pdiv_exact(num: list[int], den: list[int]) -> list[int]:
+    """Exact quotient num/den over Z; raises if the division leaves a remainder."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     if not num:
@@ -40,12 +40,9 @@ def pdiv_exact(num: list, den: list) -> list:
         ri = rem[i]
         if ri == 0:
             continue
-        if isinstance(ri, int) and isinstance(lead, int):
-            if ri % lead:
-                raise ArithmeticError("inexact polynomial division")
-            c = ri // lead
-        else:
-            c = Fraction(ri) / Fraction(lead)
+        if ri % lead:
+            raise ArithmeticError("inexact polynomial division")
+        c = ri // lead
         q[i - dn] = c
         for j, dj in enumerate(den):
             rem[i - dn + j] -= c * dj
@@ -54,23 +51,10 @@ def pdiv_exact(num: list, den: list) -> list:
     return ptrim(q)
 
 
-def pcontent(p: list[int]) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, c)
-    return g
-
-
-def pprimitive(p: list) -> list[int]:
-    """Primitive integer multiple with positive leading coefficient.
-
-    Accepts int or Fraction coefficients; the denominators are cleared
-    first.  The input must carry no trailing zeros.
-    """
-    if any(isinstance(c, Fraction) for c in p):
-        m = lcm(*(Fraction(c).denominator for c in p))
-        p = [int(c * m) for c in p]
-    g = pcontent(p)
+def pprimitive(p: list[int]) -> list[int]:
+    """Primitive multiple with positive leading coefficient.  The input
+    must carry no trailing zeros."""
+    g = gcd(*p)
     if g == 0:
         return []
     if p[-1] < 0:
@@ -78,12 +62,11 @@ def pprimitive(p: list) -> list[int]:
     return [c // g for c in p]
 
 
-def pgcd(a: list, b: list) -> list:
+def pgcd(a: list[int], b: list[int]) -> list[int]:
     """Gcd over Q via a primitive pseudo-remainder sequence over Z.
 
-    Accepts int or Fraction coefficients; the result is a primitive
-    integer polynomial with positive leading coefficient (or [] for
-    gcd(0,0)).
+    The result is a primitive integer polynomial with positive leading
+    coefficient (or [] for gcd(0,0)).
     """
     a = pprimitive(ptrim(list(a)))
     b = pprimitive(ptrim(list(b)))

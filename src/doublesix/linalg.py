@@ -6,8 +6,9 @@ forms are byte-for-byte reproducible for a given input.  Scalars are
 ``fractions.Fraction`` throughout (auto-reduced, positive denominator);
 elimination itself runs on integer rows with denominators cleared, so
 :func:`kernel_basis` and :func:`row_space_basis` take rows of ints or
-Fractions as they are.  :func:`clear_denominators` does the clearing
-here and for the integer evaluation in ``forms``, ``plane`` and ``torsion``.
+Fractions as they are.  :func:`clear_denominators` does all clearing:
+here, in ``forms.integer_powers`` and ``TernaryForm.integer_terms``, and
+in ``association``, ``coble`` and ``torsion``.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .forms import Mono, TernaryForm, integer_powers, monomials_of_degree
-from .linalg import Matrix, determinant, inverse, kernel_basis, rat
+from .linalg import Matrix, _bareiss_int, determinant, inverse, kernel_basis, rat
 from .perms import Perm, all_perms
 
 
@@ -121,14 +121,6 @@ REF6 = Config6(
 )
 
 
-def veronese_row(point: Sequence, degree: int) -> list[Fraction]:
-    """Values of the degree-d monomials at the point, in the fixed order: with
-    the point as (x, y, z) / D, each is one ``Fraction`` x^i y^j z^k / D^d."""
-    (xs, ys, zs), den = integer_powers(point, degree)
-    scale = den**degree
-    return [Fraction(xs[i] * ys[j] * zs[k], scale) for (i, j, k) in monomials_of_degree(degree)]
-
-
 @dataclass(frozen=True)
 class GeneralPositionVerdict:
     ok: bool
@@ -152,8 +144,9 @@ def is_general_position(c: Config6) -> GeneralPositionVerdict:
         if determinant(Matrix(rows)) == 0:
             labels = tuple(i + 1 for i in triple)
             return GeneralPositionVerdict(False, collinear_triple=labels)
-    ver = [veronese_row(row, 2) for row in c.reps]
-    if determinant(Matrix(ver)) == 0:
+    # Order-0 rows: the conic monomials at each point, times a nonzero scale.
+    ver = [integer_multiplicity_rows(2, p, 1)[0] for p in c.points]
+    if _bareiss_int([row[:] for row in ver]) == 0:
         coeffs = kernel_basis(ver)[0]
         conic = TernaryForm.from_coefficient_vector(2, coeffs).canonical()
         return GeneralPositionVerdict(False, conic=conic)
@@ -172,7 +165,7 @@ def conic_through(pts: Sequence[PointP2]) -> TernaryForm:
     """
     if len(pts) != 5:
         raise ValueError("a conic is determined by five points")
-    basis = kernel_basis([veronese_row(p, 2) for p in pts])
+    basis = kernel_basis([integer_multiplicity_rows(2, p, 1)[0] for p in pts])
     if len(basis) != 1:
         raise DegenerateFiveTupleError(
             f"five-point system has a {len(basis)}-dimensional space of conics"

@@ -44,13 +44,13 @@ from .forms import (
 from .linalg import Matrix, Rational, clear_denominators, inverse, kernel_basis, rat
 from .plane import (
     Config6,
+    PointP2,
     _integer_chart_columns,
+    integer_multiplicity_rows,
     is_general_position,
     linear_system,
     tangent_cone,
 )
-
-_ZERO = Fraction(0)
 
 
 # ----------------------------------------------------------------------
@@ -179,8 +179,8 @@ def _matching_vectors(
     config = sextic.config
     # Per site: integer rows, one per entry of a vector.
     tables = []
-    monos = monomials_of_degree(6)
     if side == "E":
+        monos = monomials_of_degree(6)
         for p in config.points:
             # The order-2 Taylor rows, those chart_quadratic_part reads.
             tables.append(_integer_chart_columns(monos, p, ((2, 0), (1, 1), (0, 2)))[0])
@@ -192,11 +192,8 @@ def _matching_vectors(
             if _is_line_pair(conic.integer_terms()[0]):
                 raise ValueError(f"exceptional conic {i + 1} is singular")
             base = config.points[(i + 1) % 6]
-            table = []
-            for q in sample_points_on_conic(conic, base, config.points, count=3):
-                (xs, ys, zs), _ = integer_powers(q.coords, 6)
-                table.append([xs[a] * ys[b] * zs[c] for a, b, c in monos])
-            tables.append(table)
+            samples = sample_points_on_conic(conic, base, config.points, count=3)
+            tables.append([integer_multiplicity_rows(6, q, 1)[0] for q in samples])
     vecs = _integer_vectors([*basis, sextic.form])
     sites = [[[sum(map(mul, row, vec)) for row in table] for vec in vecs] for table in tables]
     return [(site[:-1], site[-1]) for site in sites]
@@ -223,9 +220,10 @@ def torsion_rank(sextic: NodalSextic, side: str) -> TorsionRank:
     * At a node p the rows are the order-2 rows of ``_integer_chart_columns``,
       d^4 times the (2, 0), (1, 1), (0, 2) Taylor rows, so g's vector is
       D d^4 times its chart quadric.
-    * On conic C they are the sextic monomials at three rational points P_k
-      of C off the configuration points (``sample_points_on_conic``),
-      cleared to integers, so entry k is g(P_k) times a factor set by P_k.
+    * On conic C they are the order-0 rows of ``integer_multiplicity_rows``
+      at three rational points P_k of C off the configuration points
+      (``sample_points_on_conic``), the sextic monomials at P_k cleared to
+      integers, so entry k is g(P_k) times a factor set by P_k.
 
     Why these vectors give the rank of the conic restrictions: a smooth
     conic has a rational parametrization theta of degree two, and a sextic
@@ -288,25 +286,26 @@ _FRAMES = [
 ]
 
 
-def _binary_coefficients(form: TernaryForm) -> list[Fraction]:
-    """Coefficient list of a form in (y, z) only, indexed by the y-degree."""
-    out = [_ZERO] * (form.degree + 1)
-    for (i, j, k), c in form.terms():
-        if i != 0:
-            raise ValueError("form still involves the eliminated variable")
-        out[j] += c
-    return out
+def _binary_coefficients(form: TernaryForm) -> list[int]:
+    """Coefficient list of a form in (y, z) only, indexed by the y-degree,
+    as integers over the form's common denominator."""
+    nums, _ = form.integer_terms()
+    if any(i for i, _, _ in nums):
+        raise ValueError("form still involves the eliminated variable")
+    return [nums.get((0, j, form.degree - j), 0) for j in range(form.degree + 1)]
 
 
-def _restrict_line(form: TernaryForm, y: Fraction, z: Fraction) -> list[Fraction]:
-    """Univariate coefficients of form(x, y, z) as a polynomial in x."""
-    out = [_ZERO] * (form.degree + 1)
-    for (i, j, k), c in form.terms():
-        out[i] += c * y**j * z**k
+def _restrict_line(form: TernaryForm, ys: list[int], zs: list[int]) -> list[int]:
+    """Integer coefficients of form(s, Y, Z) as a polynomial in s, over the
+    form's common denominator; ys and zs hold the powers of Y and Z."""
+    nums, _ = form.integer_terms()
+    out = [0] * (form.degree + 1)
+    for (i, j, k), c in nums.items():
+        out[i] += c * ys[j] * zs[k]
     return ptrim(out)
 
 
-def _divide_out_root(poly: list[int], root: Fraction) -> tuple[list[int], int]:
+def _divide_out_root(poly: list[int], root: Fraction | int) -> tuple[list[int], int]:
     """Divide an integer u-polynomial by den*u - num, root = num/den, to exhaustion.
 
     The linear is primitive, so by Gauss's lemma each quotient that
@@ -400,10 +399,23 @@ def _admissible_frames(form: TernaryForm, node_coords: list):
 
 
 def _singular_at(form: TernaryForm, points: list) -> bool:
-    """Exact check that every point is nonzero and all three partials vanish there."""
-    partials = [form.partial(v) for v in range(3)]
+    """Exact check that every point is nonzero and the form is singular there.
+
+    The double-point rows ``integer_multiplicity_rows(d, p, 2)``, which
+    ``linear_system`` imposes, are the chart rows of orders 0 and 1.  If
+    they annihilate f's coefficients, f(p) = 0 and f's derivatives along
+    e_a and e_b vanish at p; Euler gives p . grad f(p) = d f(p) = 0, and
+    {e_a, e_b, p} is a basis, so grad f(p) = 0; the converse holds for
+    d >= 1.  (0, 0, 0) gives False; other points ``PointP2`` rejects raise.
+    """
+    nums, _ = form.integer_terms()
+    vec = [nums.get(m, 0) for m in monomials_of_degree(form.degree)]
     return all(
-        any(rat(c) != 0 for c in q) and all(g.eval(q) == 0 for g in partials)
+        any(rat(c) != 0 for c in q)
+        and not any(
+            sum(map(mul, row, vec))
+            for row in integer_multiplicity_rows(form.degree, PointP2(q), 2)
+        )
         for q in points
     )
 
@@ -559,13 +571,15 @@ def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
         # Each node's vertical line may contain no second singular point.
         line_ok = True
         for q in moved_nodes:
-            polys = [_restrict_line(g, q[1], q[2]) for g in (fx, fy, fz)]
+            # For q = (X, Y, Z) / D the line is {(s : Y : Z)}, the node s = X.
+            (xs, ys, zs), _ = integer_powers(q, fx.degree)
+            polys = [_restrict_line(g, ys, zs) for g in (fx, fy, fz)]
             gcd_line = pgcd(pgcd(polys[0], polys[1]), polys[2])
             if not gcd_line:
                 line_ok = False
                 last_detail = "a node line lies in the singular locus"
                 break
-            reduced, count = _divide_out_root(gcd_line, q[0])
+            reduced, count = _divide_out_root(gcd_line, xs[1])
             if count < 1 or len(reduced) > 1:
                 line_ok = False
                 last_detail = "extra singular point on a node line"

@@ -1,6 +1,8 @@
 """Every name a library module imports is used in that module, and every
 private module-level name, and every function of the private helper
-modules ``_poly`` and ``_modp``, is read somewhere in the library."""
+modules ``_poly`` and ``_modp``, is read somewhere in the library.  The
+helper modules run on ``int`` only, so they import nothing from
+``fractions``."""
 
 import ast
 from collections import Counter
@@ -184,3 +186,34 @@ def test_the_helper_function_scan_sees_other_modules_and_only_helper_modules():
         ("_poly.py", "peval"),
         ("_modp.py", "frac_mod"),
     ]
+
+
+def fraction_imports(source):
+    """Lines that import the ``fractions`` module or a name from it."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+    ]
+
+
+def test_helper_modules_import_nothing_from_fractions():
+    found = {
+        name: lines
+        for name in HELPER_MODULES
+        if (lines := fraction_imports((SOURCE / name).read_text()))
+    }
+    assert found == {}
+
+
+def test_the_fraction_import_scan_sees_both_import_forms():
+    source = (
+        "from fractions import Fraction\n"
+        "import math, fractions\n"
+        "def f():\n"
+        "    from fractions import Fraction as F\n"
+        "    return F\n"
+        "from math import gcd\n"
+    )
+    assert fraction_imports(source) == [1, 2, 4]

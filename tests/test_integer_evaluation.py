@@ -1,9 +1,10 @@
 """Integer evaluation against the Fraction paths it replaced.
 
-``TernaryForm.eval`` and ``plane.veronese_row`` clear denominators once,
-sum integer products and form one ``Fraction`` per value;
-``plane._integer_chart_columns`` gives the Taylor rows of a chart as
-integers, row (i, j) scaled by d^(n - i - j).  The references below are
+``TernaryForm.eval`` clears denominators once, sums integer products and
+forms one ``Fraction`` per value; ``plane._integer_chart_columns`` gives
+the Taylor rows of a chart as integers, row (i, j) scaled by
+d^(n - i - j), and its order-(0, 0) row is the monomial values at the
+point.  The references below are
 the former Fraction bodies, one ``Fraction`` product and power per term.
 Since ``Fraction`` normalises, the values must agree exactly with the
 references (the chart rows once divided by their scale), and so must
@@ -36,11 +37,6 @@ def reference_eval(form, point):
     for (i, j, k), c in form.terms():
         total += c * px**i * py**j * pz**k
     return total
-
-
-def reference_veronese_row(point, degree):
-    px, py, pz = (rat(x) for x in point)
-    return [px**i * py**j * pz**k for (i, j, k) in monomials_of_degree(degree)]
 
 
 def reference_chart_columns(monos, p, orders):
@@ -168,7 +164,6 @@ def test_veronese_rows_and_chart_columns_match_the_fraction_reference():
     orders = [(i, s - i) for s in range(4) for i in range(s, -1, -1)]
     for p in points:
         for degree in range(7):
-            assert plane.veronese_row(p.coords, degree) == reference_veronese_row(p.coords, degree)
             monos = monomials_of_degree(degree)
             rows, d = plane._integer_chart_columns(monos, p, orders)
             assert d == lcm(*(x.denominator for x in p.coords))
@@ -212,7 +207,6 @@ def test_second_model_and_linear_systems_match_the_fraction_paths(monkeypatch):
             linear_system(6, double).basis,
         ))
     monkeypatch.setattr(TernaryForm, "eval", reference_eval)
-    monkeypatch.setattr(plane, "veronese_row", reference_veronese_row)
     monkeypatch.setattr(plane, "integer_multiplicity_rows", fraction_multiplicity_rows)
     for c, got in zip(configs, fast):
         double = [(p, 2) for p in c.points]

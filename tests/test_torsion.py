@@ -9,12 +9,12 @@ from math import lcm
 import pytest
 
 from test_forms import pmul
-from test_integer_evaluation import near_degenerate_configs
+from test_integer_evaluation import awkward_points, near_degenerate_configs
 from test_modp import _modp_resultant_x, frac_mod, peval
 from test_plane import reference_tangent_cone
 
-from doublesix import _modp, forms, linalg, plane, torsion
-from doublesix._poly import pdiv_exact, pgcd, pprimitive, ptrim
+from doublesix import _modp, _poly, forms, linalg, plane, torsion
+from doublesix._poly import pgcd, pprimitive, ptrim
 from doublesix.association import exceptional_conics, sample_points_on_conic
 from doublesix.forms import TernaryForm, resultant_eliminate
 from doublesix.linalg import Matrix, determinant, inverse, kernel_basis, rank
@@ -514,6 +514,110 @@ def test_a_seventh_double_point_on_a_node_line_is_found_in_the_identity_frame(
     assert verdict_key(verdict) == (False, 1, "extra singular point on a node line", None)
 
 
+def reference_singular_at(form, points):
+    """The partial-derivative body of ``_singular_at`` before it read the
+    double-point rows: every point is nonzero and all three partials vanish."""
+    partials = [form.partial(v) for v in range(3)]
+    return all(
+        any(linalg.rat(c) != 0 for c in q) and all(g.eval(q) == 0 for g in partials)
+        for q in points
+    )
+
+
+def singular_at_cases():
+    """(form, point) pairs: nodal sextics on seeded, ~60-bit and
+    near-degenerate configurations (pencil members and random members) at
+    their nodes, at the awkward points (zero pivot coordinates, large
+    denominators), and at a point the form was shifted to vanish at; every
+    degree-6 monomial at the coordinate points and a few others."""
+    rng = random.Random("singular-at-reference")
+    configs = [REF6, Z0_CONFIG] + [random_general_config(rng, bound=20) for _ in range(2)]
+    configs += [random_general_config(rng, bound=2**60)] + near_degenerate_configs(rng, 2)
+    extra = [q for q in awkward_points() if any(linalg.rat(x) for x in q)]
+    cases = []
+    for config in configs:
+        pencil = conic_product_pencil(config)
+        nodes = [q.coords for q in config.points]
+        for form in (pencil.member(1, 1), pencil.member(2, -3), random_nodal_sextic(config, rng)):
+            cases += [(form, q) for q in nodes + extra]
+            # Subtract a multiple of x^6 so that the form vanishes at an
+            # off-curve point, where it is then smooth or singular.
+            q = (rng.randint(1, 9), rng.randint(-9, 9), rng.randint(-9, 9))
+            shifted = form + TernaryForm.monomial((6, 0, 0), -form.eval(q) / q[0] ** 6)
+            cases += [(shifted, q)] + [(shifted, p) for p in nodes]
+    corners = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 2, -1), (1, 1, 1)]
+    for mono in forms.monomials_of_degree(6):
+        cases += [(TernaryForm.monomial(mono, 5), q) for q in corners]
+    return cases
+
+
+def test_singular_at_matches_the_partial_derivative_reference(monkeypatch):
+    cases = singular_at_cases()
+
+    def refuse(*args):
+        raise AssertionError("_singular_at reads the double-point rows only")
+
+    monkeypatch.setattr(TernaryForm, "partial", refuse)
+    monkeypatch.setattr(TernaryForm, "eval", refuse)
+    got = [torsion._singular_at(form, [q]) for form, q in cases]
+    monkeypatch.undo()
+    assert got == [reference_singular_at(form, [q]) for form, q in cases]
+    # Both verdicts occur, at nodes with a zero pivot coordinate too.
+    assert True in got and False in got
+    assert torsion._singular_at(conic_product_pencil(REF6).member(1, 1), [(0, 1, 0), (0, 0, 1)])
+    # A list is singular only where every point is.
+    nodal, node = cases[0]
+    assert torsion._singular_at(nodal, [node] * 3)
+    assert not torsion._singular_at(nodal, [node, (0, 0, 0)])
+    for form in (nodal, TernaryForm.zero(6)):
+        assert not torsion._singular_at(form, [(0, 0, 0)])
+        assert not reference_singular_at(form, [(0, 0, 0)])
+    for q in [(1, 2), (1, 2, 3, 4)]:
+        for check in (torsion._singular_at, reference_singular_at):
+            with pytest.raises(ValueError, match="a plane point needs three coordinates"):
+                check(nodal, [q])
+
+
+def record_polynomial_coefficients(monkeypatch):
+    """Wrap ``pgcd``, ``pdiv_exact`` and ``pprimitive`` in ``_poly`` and
+    wherever ``torsion`` binds them; log (name, type) per coefficient read."""
+    seen = []
+    for name in ("pgcd", "pdiv_exact", "pprimitive"):
+        original = getattr(_poly, name)
+
+        def wrapped(*polys, _name=name, _original=original):
+            seen.extend((_name, type(c)) for p in polys for c in p)
+            return _original(*polys)
+
+        monkeypatch.setattr(_poly, name, wrapped)
+        if hasattr(torsion, name):
+            monkeypatch.setattr(torsion, name, wrapped)
+    return seen
+
+
+def test_smooth_elsewhere_hands_the_polynomial_helpers_only_integers(monkeypatch):
+    """REF6 and seeded members (degree count and node lines), and the
+    seventh-point cases (exact route: the node audit over Z)."""
+    seen = record_polynomial_coefficients(monkeypatch)
+    rng = random.Random("integer-polynomials")
+    cases = [(REF6, conic_product_pencil(REF6).member(1, 1))]
+    for _ in range(2):
+        config = random_general_config(rng, bound=20)
+        cases += [(config, conic_product_pencil(config).member(1, 2))]
+        cases += [(config, random_nodal_sextic(config, rng))]
+    for config, form in cases:
+        verdict = smooth_elsewhere(form, config.points)
+        assert verdict.certified and verdict.route == "degree count"
+    assert {name for name, _ in seen} == {"pgcd", "pdiv_exact", "pprimitive"}
+    assert {kind for _, kind in seen} == {int}
+    seen.clear()
+    for seed in (0, 4, 14, 16):
+        config, _, form = seventh_double_point_case(seed)
+        assert not smooth_elsewhere(form, config.points).certified
+    assert {name for name, _ in seen} == {"pgcd", "pdiv_exact", "pprimitive"}
+    assert {kind for _, kind in seen} == {int}
+
+
 def test_smooth_elsewhere_builds_no_frame_matrix(monkeypatch):
     """The frames and their inverses are built once, at import: a call that
     moves the form into every frame computes no inverse and no determinant."""
@@ -828,13 +932,20 @@ def reference_compose_binary(form, theta):
 
 
 def reference_binary_div_exact(num, den):
-    """Quotient of binary forms by Fraction ``pdiv_exact``."""
+    """Quotient of binary forms by ``Fraction`` long division."""
     pn, pd = ptrim(list(num)), ptrim(list(den))
     if not pn:
         return [Fraction(0)] * (len(num) - len(den) + 1)
     if len(num) - len(pn) < len(den) - len(pd):
         raise ArithmeticError("binary division is not exact")
-    q = pdiv_exact([Fraction(x) for x in pn], [Fraction(x) for x in pd])
+    rem = [Fraction(x) for x in pn]
+    q = [Fraction(0)] * max(len(pn) - len(pd) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = rem[i + len(pd) - 1] / pd[-1]
+        for j, dj in enumerate(pd):
+            rem[i + j] -= q[i] * dj
+    if any(rem):
+        raise ArithmeticError("binary division is not exact")
     return q + [Fraction(0)] * (len(num) - len(den) + 1 - len(q))
 
 
@@ -1097,7 +1208,7 @@ def reference_exact_resultant_x(f, g, p):
         res = resultant_eliminate(*reduced, 0)
     except ValueError:  # degenerate elimination, or a form that vanishes mod p
         return None
-    return [c.numerator % p for c in _binary_coefficients(res)]
+    return [c % p for c in _binary_coefficients(res)]
 
 
 def reference_det_mod(rows, p):
