@@ -48,6 +48,7 @@ from .plane import (
     Config6,
     DegenerateFiveTupleError,
     PointP2,
+    _cross,
     conic_through,
     integer_multiplicity_rows,
     linear_system,
@@ -160,10 +161,6 @@ class DoubleSixRealization:
     conics: tuple[TernaryForm, ...]
     quintic_basis: tuple[TernaryForm, ...]
     associated: Config6
-
-
-def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def _product(factors: Sequence[dict[Mono, int]]) -> dict[Mono, int]:

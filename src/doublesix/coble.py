@@ -29,10 +29,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from .association import _cross, second_model
-from .linalg import Matrix, clear_denominators, determinant, rat
+from .association import second_model
+from .linalg import Matrix, clear_denominators, rat
 from .perms import Perm, class_size
-from .plane import Config6
+from .plane import Config6, _bracket
 
 #: Index triples (1-based) whose complementary bracket products give x0..x4.
 GENERATOR_PARTITIONS: tuple[tuple[int, int, int], ...] = (
@@ -55,8 +55,8 @@ def bracket(c: Config6, labels: tuple[int, int, int]) -> Fraction:
     """
     if len(labels) != 3 or not (1 <= labels[0] < labels[1] < labels[2] <= 6):
         raise ValueError(f"bracket labels must be strictly increasing in 1..6: {labels}")
-    rows = [c.reps[i - 1] for i in labels]
-    return determinant(Matrix(rows))
+    (ni, di), (nj, dj), (nk, dk) = (clear_denominators(c.reps[i - 1]) for i in labels)
+    return Fraction(_bracket(ni, nj, nk), di * dj * dk)
 
 
 def _complement(triple: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -97,10 +97,7 @@ def coble_vector(c: Config6) -> CobleVector:
     """
     ints, dens = zip(*(clear_denominators(rep) for rep in c.reps))
     d = prod(dens)
-    D = {}
-    for t in combinations(range(1, 7), 3):
-        a, b, e = (ints[i - 1] for i in t)
-        D[t] = sum(x * y for x, y in zip(a, _cross(b, e)))
+    D = {t: _bracket(*(ints[i - 1] for i in t)) for t in combinations(range(1, 7), 3)}
     xs = [Fraction(D[t] * D[_complement(t)], d) for t in GENERATOR_PARTITIONS]
     x5 = Fraction(
         D[1, 2, 3] * D[1, 4, 5] * D[2, 4, 6] * D[3, 5, 6]

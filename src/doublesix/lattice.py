@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import Matrix, determinant
+from .linalg import _bareiss_int
 
 
 @dataclass(frozen=True, order=True)
@@ -124,10 +124,10 @@ def double_sixes() -> list[DoubleSix]:
     each pair i < j, (E_i, F_i, C_jk ...; E_j, F_j, C_ik ...) over the
     four k outside {i, j}; for each triple i < j < k with complement
     l < m < n, (E_i, E_j, E_k, C_mn, C_ln, C_lm; C_jk, C_ik, C_ij, F_l,
-    F_m, F_n).  Of the two sixers, A is the one whose sorted indices in
-    ``lines_27()`` come first, ordered by index, and B is ordered so
-    that A_i . B_i = 0.  The classical pair comes first; the rest follow
-    in lexicographic order of their sorted A-sixer.
+    F_m, F_n).  Each is written matched, A_i . B_i = 0, with first the
+    sixer A whose sorted indices in ``lines_27()`` come first, and the
+    pairs (A_i, B_i) are sorted by A_i's index.  The classical pair comes
+    first; the rest follow in lexicographic order of their sorted A-sixer.
     """
     lines = lines_27()
     index = {cls: n for n, cls in enumerate(lines)}
@@ -144,9 +144,9 @@ def double_sixes() -> list[DoubleSix]:
         pairs.append(((E[i], E[j], E[k], C[m, n], C[l, n], C[l, m]),
                       (C[j, k], C[i, k], C[i, j], F[l], F[m], F[n])))
     out = []
-    for pair in pairs:
-        a, b = sorted((sorted(six, key=index.get) for six in pair), key=lambda s: list(map(index.get, s)))
-        out.append(DoubleSix(tuple(a), tuple(next(y for y in b if x.intersect(y) == 0) for x in a)))
+    for a, b in pairs:
+        a, b = zip(*sorted(zip(a, b), key=lambda ab: index[ab[0]]))
+        out.append(DoubleSix(a, b))
     classical = DoubleSix(E, F).key()
     out.sort(key=lambda d: (d.key() != classical, tuple(sorted(x.vector() for x in d.a))))
     return out
@@ -159,6 +159,4 @@ def basis_determinant(sixer: tuple[PicClass, ...]) -> int:
     unimodular sublattice, i.e. an honest plane model.
     """
     lp = blowdown_line_class(sixer)
-    rows = [lp.vector()] + [s.vector() for s in sixer]
-    det = determinant(Matrix(rows))
-    return int(det)
+    return _bareiss_int([list(cls.vector()) for cls in (lp, *sixer)])

@@ -4,8 +4,8 @@ A configuration is stored with an explicit 6x3 matrix of coordinate
 representatives.  Most geometric predicates only depend on the points,
 but the invariant calculus is a polynomial in the representatives, so
 they are never normalized behind the caller's back: scaling a row or
-hitting everything with a matrix transforms the representatives
-exactly.
+hitting everything with a matrix transforms them exactly.  All of the
+library's brackets and cross products are ``_bracket`` and ``_cross``.
 
 "General position" means no three of the six points are collinear and
 no conic passes through all six.
@@ -16,12 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from operator import mul
 from typing import Iterable, Sequence
 
 from .forms import Mono, TernaryForm, integer_powers, monomials_of_degree
-from .linalg import Matrix, _bareiss_int, determinant, inverse, kernel_basis, rat
+from .linalg import Matrix, _bareiss_int, clear_denominators, kernel_basis, rat
 from .perms import Perm, all_perms
 
 
@@ -135,13 +136,21 @@ class GeneralPositionVerdict:
         return f"all six points lie on the conic {self.conic!r}"
 
 
+def _cross(u: Sequence, v: Sequence) -> tuple:
+    """The cross product u x v of triples: zero exactly when they are proportional."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _bracket(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> int:
+    """The bracket [u v w] of integer triples, the determinant of those rows."""
+    return sum(map(mul, u, _cross(v, w)))
+
+
 def is_general_position(c: Config6) -> GeneralPositionVerdict:
     """No three collinear, no conic through all six; returns a witness on failure."""
-    from itertools import combinations
-
+    ints = [clear_denominators(rep)[0] for rep in c.reps]
     for triple in combinations(range(6), 3):
-        rows = [c.reps[i] for i in triple]
-        if determinant(Matrix(rows)) == 0:
+        if _bracket(*(ints[i] for i in triple)) == 0:
             labels = tuple(i + 1 for i in triple)
             return GeneralPositionVerdict(False, collinear_triple=labels)
     # Order-0 rows: the conic monomials at each point, times a nonzero scale.
@@ -330,32 +339,28 @@ def frame_map(source: Sequence[PointP2], target: Sequence[PointP2]) -> Matrix | 
     """The projectivity sending four source points to four target points.
 
     Returns None when either quadruple has three collinear members (no
-    valid frame).  The matrix is scaled so its first nonzero entry is 1.
+    valid frame).  On cleared integer coordinates, T with columns l_j p_j
+    sends e_1, e_2, e_3, (1, 1, 1) to p_1..p_4, where [p_1 p_2 p_3] l_j is
+    the bracket with p_4 in place of p_j (Cramer): a frame exists when the
+    four brackets are nonzero.  adj(T) has the cross products of T's
+    columns as rows, and T_target adj(T_source), unique up to scale, is
+    divided by its first nonzero entry, whatever scale the integers had.
     """
 
-    def basis_matrix(pts: Sequence[PointP2]) -> Matrix | None:
-        cols = Matrix([[pts[j][i] for j in range(3)] for i in range(3)])
-        if determinant(cols) == 0:
+    def frame(pts: Sequence[PointP2]) -> list[list[int]] | None:
+        p1, p2, p3, p4 = (clear_denominators(p.coords)[0] for p in pts)
+        lams = (_bracket(p4, p2, p3), _bracket(p1, p4, p3), _bracket(p1, p2, p4))
+        if _bracket(p1, p2, p3) == 0 or 0 in lams:
             return None
-        lam = inverse(cols).apply(pts[3].coords)
-        if any(l == 0 for l in lam):
-            return None
-        return Matrix([[lam[j] * pts[j][i] for j in range(3)] for i in range(3)])
+        return [[lam * x for x in p] for lam, p in zip(lams, (p1, p2, p3))]
 
-    ms = basis_matrix(source)
-    mt = basis_matrix(target)
-    if ms is None or mt is None:
+    cols_s, cols_t = frame(source), frame(target)
+    if cols_s is None or cols_t is None:
         return None
-    g = mt @ inverse(ms)
-    lead = next(x for x in g.entries if x != 0)
-    return g.scale(1 / lead)
-
-
-def _maps_point(g: Matrix, p: PointP2, q: PointP2) -> bool:
-    image = g.apply(p.coords)
-    if all(x == 0 for x in image):
-        return False
-    return PointP2(image) == q
+    adj = [_cross(cols_s[j - 2], cols_s[j - 1]) for j in range(3)]
+    g = [[sum(t[i] * a[k] for t, a in zip(cols_t, adj)) for k in range(3)] for i in range(3)]
+    lead = next(x for row in g for x in row if x != 0)
+    return Matrix([[Fraction(x, lead) for x in row] for row in g])
 
 
 def _projectivities(c1: Config6, c2: Config6, perms: Iterable[Perm]):
@@ -364,7 +369,9 @@ def _projectivities(c1: Config6, c2: Config6, perms: Iterable[Perm]):
     pts1, pts2 = c1.points, c2.points
     for sigma in perms:
         g = frame_map(pts1[:4], [pts2[sigma(i)] for i in range(4)])
-        if g is not None and all(_maps_point(g, pts1[i], pts2[sigma(i)]) for i in range(4, 6)):
+        if g is not None and not any(
+            any(_cross(g.apply(pts1[i].coords), pts2[sigma(i)].coords)) for i in range(4, 6)
+        ):
             yield g, sigma
 
 

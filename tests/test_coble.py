@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -91,19 +91,27 @@ def test_rescaling_covariance():
     assert w[5] == prod * prod * v[5]
 
 
+def reference_bracket(c, labels):
+    """The former ``bracket``: ``determinant`` of the ``Fraction`` rows."""
+    return determinant(Matrix([c.reps[i - 1] for i in labels]))
+
+
 def reference_coble_vector(c):
     """The former ``coble_vector``: every bracket a ``determinant`` of a
     ``Fraction`` matrix, with repeats."""
-    xs = [bracket(c, t) * bracket(c, _complement(t)) for t in GENERATOR_PARTITIONS]
+    b = lambda t: reference_bracket(c, t)
+    xs = [b(t) * b(_complement(t)) for t in GENERATOR_PARTITIONS]
     x5 = (
-        bracket(c, (1, 2, 3)) * bracket(c, (1, 4, 5)) * bracket(c, (2, 4, 6)) * bracket(c, (3, 5, 6))
-        - bracket(c, (1, 2, 4)) * bracket(c, (1, 3, 5)) * bracket(c, (2, 3, 6)) * bracket(c, (4, 5, 6))
+        b((1, 2, 3)) * b((1, 4, 5)) * b((2, 4, 6)) * b((3, 5, 6))
+        - b((1, 2, 4)) * b((1, 3, 5)) * b((2, 3, 6)) * b((4, 5, 6))
     )
     return CobleVector(tuple(xs) + (x5,), c.reps)
 
 
-def test_coble_vector_matches_the_bracket_reference():
-    rng = random.Random("coble-differential")
+def differential_configs(rng):
+    """REF6, seeded bound-20 and 2^60 configurations, their associated ones
+    (over 100 bits), all of them rescaled by random rational factors, one
+    configuration of rational representatives and the raw chart-grid rows."""
     configs = [REF6] + [random_general_config(rng, bound=20) for _ in range(4)]
     configs.append(random_general_config(rng, bound=2**60))
     configs += [second_model(c).associated for c in configs]
@@ -115,8 +123,23 @@ def test_coble_vector_matches_the_bracket_reference():
     configs += [c.rescale([factor() for _ in range(6)]) for c in configs]
     configs.append(Config6([[factor() for _ in range(3)] for _ in range(6)]))
     configs += [rows for _, rows in chart_grid(range(2))]
-    for c in configs:
+    return configs
+
+
+def test_coble_vector_matches_the_bracket_reference():
+    for c in differential_configs(random.Random("coble-differential")):
         assert coble_vector(c) == reference_coble_vector(c)
+
+
+def test_bracket_equals_the_determinant_of_the_rows():
+    configs = differential_configs(random.Random("brackets"))
+    zeros = 0
+    for c in configs:
+        for t in combinations(range(1, 7), 3):
+            got = bracket(c, t)
+            assert type(got) is Fraction and got == reference_bracket(c, t)
+            zeros += got == 0
+    assert zeros > 0  # the chart grid has collinear triples
 
 
 def test_y_basis_change():

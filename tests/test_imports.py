@@ -2,7 +2,9 @@
 private module-level name, and every function of the private helper
 modules ``_poly`` and ``_modp``, is read somewhere in the library.  The
 helper modules run on ``int`` only, so they import nothing from
-``fractions``."""
+``fractions``.  Brackets and cross products of points have one routine,
+in ``plane``, and the modules that take them bind no rational
+``determinant`` or ``inverse``."""
 
 import ast
 from collections import Counter
@@ -217,3 +219,67 @@ def test_the_fraction_import_scan_sees_both_import_forms():
         "from math import gcd\n"
     )
     assert fraction_imports(source) == [1, 2, 4]
+
+
+#: The bracket routines, which only ``plane`` may define.
+BRACKET_ROUTINES = ("_bracket", "_cross")
+#: Modules that take brackets, and the rational routines they must not bind.
+BRACKET_MODULES = ("association.py", "coble.py", "lattice.py", "plane.py")
+RATIONAL_ROUTINES = ("determinant", "inverse")
+
+
+def defined_names(tree):
+    """(name, line) for each function, class or assigned name, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+
+
+def bracket_violations(sources):
+    """(module, name, line) for each bracket routine defined outside ``plane``,
+    and each rational routine that a bracket module defines or imports
+    (under any name)."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        imported = [
+            (alias.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ]
+        for name, line in defined_names(tree):
+            if name in BRACKET_ROUTINES and module != "plane.py":
+                found.append((module, name, line))
+        if module in BRACKET_MODULES:
+            found += [
+                (module, name, line)
+                for name, line in [*defined_names(tree), *imported]
+                if name in RATIONAL_ROUTINES
+            ]
+    return sorted(found)
+
+
+def test_only_plane_takes_brackets():
+    sources = {path.name: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
+    assert set(BRACKET_MODULES) <= set(sources)
+    assert bracket_violations(sources) == []
+
+
+def test_the_bracket_scan_sees_definitions_imports_and_aliases():
+    sources = {
+        "plane.py": "from .linalg import determinant\ndef _cross(u, v):\n    return u\n",
+        "coble.py": "from .plane import _bracket\nfrom .linalg import inverse as inv\n",
+        "lattice.py": "def f():\n    from .linalg import determinant\n    return determinant\n",
+        "association.py": "_cross = None\n",
+        "torsion.py": "from .linalg import inverse\ndef _bracket(u, v, w):\n    return 0\n",
+    }
+    assert bracket_violations(sources) == [
+        ("association.py", "_cross", 1),
+        ("coble.py", "inverse", 2),
+        ("lattice.py", "determinant", 2),
+        ("plane.py", "determinant", 1),
+        ("torsion.py", "_bracket", 2),
+    ]

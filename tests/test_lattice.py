@@ -19,6 +19,7 @@ from doublesix.lattice import (
     double_sixes,
     lines_27,
 )
+from doublesix.linalg import Matrix, determinant
 
 
 def brute_force_lines():
@@ -171,6 +172,15 @@ def test_sixer_bases_unimodular():
     for ds in double_sixes():
         assert basis_determinant(ds.a) in (1, -1)
         assert basis_determinant(ds.b) in (1, -1)
+
+
+def test_basis_determinant_matches_the_rational_determinant():
+    sixers = [six for ds in double_sixes() for six in (ds.a, ds.b)]
+    assert len(set(sixers)) == 72
+    for sixer in sixers:
+        rows = [blowdown_line_class(sixer).vector()] + [cls.vector() for cls in sixer]
+        got = basis_determinant(sixer)
+        assert type(got) is int and got == determinant(Matrix(rows))
 
 
 def test_double_six_partner_is_unique_complement():

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
 
 from doublesix.forms import TernaryForm, monomials_of_degree
-from doublesix.linalg import Matrix, determinant
+from doublesix.linalg import Matrix, determinant, inverse
+from doublesix.perms import Perm, all_perms
 from doublesix.plane import (
     REF6,
     Config6,
@@ -15,6 +17,7 @@ from doublesix.plane import (
     PointP2,
     chart_coefficients,
     conic_through,
+    frame_map,
     integer_multiplicity_rows,
     is_general_position,
     linear_system,
@@ -275,10 +278,11 @@ def test_stabilizer_of_reference_is_trivial():
     assert perm.images == tuple(range(6))
 
 
+SYMMETRIC = config([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, 1, 3)])
+
+
 def test_stabilizer_detects_symmetry():
-    symmetric = config(
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, 1, 3)]
-    )
+    symmetric = SYMMETRIC
     assert is_general_position(symmetric).ok
     stab = projective_stabilizer(symmetric)
     # This configuration carries a full order-12 symmetry group.
@@ -314,8 +318,6 @@ def test_projective_equivalence_distinguishes():
 
 
 def test_relabel_moves_points():
-    from doublesix.perms import Perm
-
     sigma = Perm.from_cycles(((1, 2),))
     swapped = REF6.relabel(sigma)
     assert swapped.points[0] == REF6.points[1]
@@ -330,3 +332,124 @@ def test_random_general_config_is_general_and_seeded():
     c2 = random_general_config(rng2)
     assert c1.reps == c2.reps
     assert is_general_position(c1).ok
+
+
+# -- brackets against the rational-matrix references ------------------
+
+
+def reference_collinear_triple(c):
+    """The collinearity loop of ``is_general_position`` as it was: one
+    ``determinant(Matrix(rows))`` per triple on the representatives."""
+    for triple in combinations(range(6), 3):
+        if determinant(Matrix([c.reps[i] for i in triple])) == 0:
+            return tuple(i + 1 for i in triple)
+    return None
+
+
+def reference_frame_map(source, target):
+    """``frame_map`` as it was: a Gauss-Jordan inverse on Fractions."""
+
+    def basis_matrix(pts):
+        cols = Matrix([[pts[j][i] for j in range(3)] for i in range(3)])
+        if determinant(cols) == 0:
+            return None
+        lam = inverse(cols).apply(pts[3].coords)
+        if any(l == 0 for l in lam):
+            return None
+        return Matrix([[lam[j] * pts[j][i] for j in range(3)] for i in range(3)])
+
+    ms = basis_matrix(source)
+    mt = basis_matrix(target)
+    if ms is None or mt is None:
+        return None
+    g = mt @ inverse(ms)
+    lead = next(x for x in g.entries if x != 0)
+    return g.scale(1 / lead)
+
+
+def reference_projectivities(c1, c2):
+    """Every (sigma, g) with g p_i ~ q_sigma(i), through the reference frame
+    map, comparing the images of points 5 and 6 as canonical points."""
+    out = []
+    for sigma in all_perms(6):
+        g = reference_frame_map(c1.points[:4], [c2.points[sigma(i)] for i in range(4)])
+        if g is not None and all(
+            PointP2(g.apply(c1.points[i].coords)) == c2.points[sigma(i)] for i in (4, 5)
+        ):
+            out.append((sigma, g))
+    return out
+
+
+def bracket_configs(rng):
+    """Configurations whose brackets the new and old routes must agree on:
+    seeded general ones, small rows (many collinear triples), ~60-bit rows
+    with and without a collinear triple, rational representatives, and
+    points whose first coordinates vanish (pivot further right)."""
+
+    def draw(row):
+        while True:
+            try:
+                return Config6([row() for _ in range(6)])
+            except ValueError:  # a zero row or two equal points
+                continue
+
+    small = lambda: tuple(rng.randint(-2, 2) for _ in range(3))
+    wide = lambda: tuple(rng.randint(-(2**60), 2**60) for _ in range(3))
+    rational = lambda: tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 40)) for _ in range(3))
+    pivot = lambda: (0, rng.randint(-1, 1), rng.randint(-9, 9)) if rng.random() < 0.6 else small()
+    configs = [REF6, SYMMETRIC, COLLINEAR, ON_CONIC]
+    configs += [random_general_config(rng, bound=20) for _ in range(4)]
+    configs += [random_general_config(rng, bound=2**60) for _ in range(2)]
+    configs += [draw(small) for _ in range(40)] + [draw(rational) for _ in range(8)]
+    configs += [draw(pivot) for _ in range(20)]
+    for _ in range(4):
+        c = draw(wide)
+        a, b = rng.randint(-(2**30), 2**30), rng.randint(1, 2**30)
+        third = tuple(a * x + b * y for x, y in zip(c.reps[0], c.reps[1]))
+        configs.append(Config6([*c.reps[:4], third, c.reps[5]]))
+    return configs
+
+
+def test_collinearity_matches_the_determinant_reference():
+    configs = bracket_configs(random.Random("collinear"))
+    witnesses = []
+    for c in configs:
+        expected = reference_collinear_triple(c)
+        verdict = is_general_position(c)
+        assert verdict.collinear_triple == expected
+        assert expected is not None or verdict.ok or verdict.conic is not None
+        witnesses.append(expected)
+    assert sum(w is None for w in witnesses) >= 10
+    assert sum(w is not None and w != (1, 2, 5) for w in witnesses) >= 10
+    assert all(
+        reference_collinear_triple(c) == (1, 2, 5) for c in configs[-4:]
+    )  # the wide rows with point 5 on line 12
+
+
+def test_frame_map_matches_the_inverse_reference():
+    rng = random.Random("frames")
+    configs = bracket_configs(rng)
+    quads = [[c.points[i] for i in q] for c in configs for q in ((0, 1, 2, 3), (2, 3, 4, 5))]
+    quads += [[PointP2(r) for r in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1))]]
+    results = []
+    for source in quads:
+        for target in rng.sample(quads, 6) + [source[::-1]]:
+            got = frame_map(source, target)
+            assert got == reference_frame_map(source, target)
+            results.append(got)
+    assert sum(g is None for g in results) >= 20
+    assert sum(g is not None for g in results) >= 100
+
+
+def test_frame_map_and_stabilizer_match_the_reference_on_every_relabelling():
+    points = SYMMETRIC.points
+    for sigma in all_perms(6):
+        target = [points[sigma(i)] for i in range(4)]
+        assert frame_map(points[:4], target) == reference_frame_map(points[:4], target)
+    for c in (SYMMETRIC, REF6):
+        assert projective_stabilizer(c) == reference_projectivities(c, c)
+    sigma = Perm.from_cycles(((1, 4, 2), (3, 6)))
+    moved = REF6.apply(Matrix([[2, 1, 0], [0, 1, 3], [1, 0, 1]])).relabel(sigma)
+    (tau, g), = reference_projectivities(REF6, moved)
+    assert projective_equivalence(REF6, moved, respect_labels=False) == (g, tau)
+    assert tau != Perm.identity(6)
