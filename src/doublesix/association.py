@@ -43,7 +43,7 @@ from typing import Sequence
 
 from ._modp import SCREEN_PRIMES, rank_mod
 from .forms import Mono, TernaryForm, monomials_of_degree
-from .linalg import _integer_row, _rref, clear_denominators, rat, row_space_basis
+from .linalg import _integer_row, _rref, rat, row_space_basis
 from .plane import (
     Config6,
     DegenerateFiveTupleError,
@@ -210,7 +210,7 @@ def second_model(c: Config6) -> DoubleSixRealization:
             raise ContractionError(
                 f"conic {i + 1} is a line pair: three configuration points are collinear"
             )
-    ints = [clear_denominators(rep)[0] for rep in c.reps]
+    ints = [p.ints for p in c.points]
     quintics = monomials_of_degree(5)
     products = []
     for i in range(6):

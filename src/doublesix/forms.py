@@ -10,10 +10,11 @@ A form's integer view is :meth:`TernaryForm.integer_terms`: its
 coefficients as integers over their least positive common denominator.
 Every consumer that works on integers reads a form through it.
 
-Evaluation runs on integers: :func:`integer_powers` writes a point as
-(x, y, z) / D with integer x, y, z and tabulates their powers, and
-:meth:`TernaryForm.eval` sums integer products over the coefficients'
-common denominator, forming one ``Fraction`` at the end.
+Evaluation runs on integers: :meth:`TernaryForm.eval` writes its
+argument, any coordinate triple, as (x, y, z) / D with integer x, y, z
+and sums integer products over the coefficients' common denominator,
+forming one ``Fraction`` at the end.  A point's integer view is
+``plane.PointP2.ints``, read by every other integer consumer of a point.
 
 Elimination evaluates too.  :func:`resultant_eliminate` specializes
 both integer forms at (u, v) = (t, 1) for t = 0 .. mn with
@@ -42,20 +43,6 @@ def monomials_of_degree(d: int) -> list[Mono]:
     """All exponent triples of total degree d, descending lex."""
     out = [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
     return sorted(out, reverse=True)
-
-
-def integer_powers(point: Sequence, degree: int) -> tuple[list[list[int]], int]:
-    """Powers 0..degree of the point's coordinates, cleared of denominators.
-
-    Returns ([xs, ys, zs], D) with point = (x, y, z) / D for the least
-    positive D and xs[e] = x**e, and so on; a degree-d monomial at the
-    point is then xs[i] * ys[j] * zs[k] / D**d.
-    """
-    coords = [rat(u) for u in point]
-    if len(coords) != 3:
-        raise ValueError("a plane point needs three coordinates")
-    ints, den = clear_denominators(coords)
-    return [[v**e for e in range(degree + 1)] for v in ints], den
 
 
 class TernaryForm:
@@ -191,7 +178,11 @@ class TernaryForm:
         ``Fraction``, which normalises to the same value as the sum of
         ``Fraction`` terms.
         """
-        (xs, ys, zs), den = integer_powers(point, self.degree)
+        coords = [rat(u) for u in point]
+        if len(coords) != 3:
+            raise ValueError("a plane point needs three coordinates")
+        ints, den = clear_denominators(coords)
+        xs, ys, zs = ([v**e for e in range(self.degree + 1)] for v in ints)
         nums, cden = self.integer_terms()
         total = sum(n * xs[i] * ys[j] * zs[k] for (i, j, k), n in nums.items())
         return Fraction(total, cden * den**self.degree)

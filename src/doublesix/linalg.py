@@ -7,9 +7,9 @@ forms are byte-for-byte reproducible for a given input.  Scalars are
 elimination itself runs on integer rows with denominators cleared, so
 :func:`kernel_basis` and :func:`row_space_basis` take rows of ints or
 Fractions as they are.  :func:`clear_denominators` does all clearing:
-here, in ``forms.integer_powers``, ``TernaryForm.integer_terms``,
-``association``, ``coble``, ``plane`` and ``torsion``.  Of the library,
-only ``torsion`` calls :func:`inverse`, and nothing :func:`determinant`.
+here, in ``TernaryForm.integer_terms`` and ``eval``, ``PointP2.ints``,
+``coble`` and ``torsion``.  Nothing in the library calls :func:`inverse`
+or :func:`determinant`.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from math import comb
 from operator import mul
 from typing import Iterable, Sequence
 
-from .forms import Mono, TernaryForm, integer_powers, monomials_of_degree
+from .forms import Mono, TernaryForm, monomials_of_degree
 from .linalg import Matrix, _bareiss_int, clear_denominators, kernel_basis, rat
 from .perms import Perm, all_perms
 
@@ -30,10 +30,13 @@ class PointP2:
     """Point of the projective plane, stored in canonical scale.
 
     The representative is rescaled so the first nonzero coordinate is 1;
-    equality and hashing use that canonical triple.
+    equality and hashing use that canonical triple.  ``ints``, the one
+    integer view of the point, is ``clear_denominators(coords)[0]``, with
+    the lcm D of the denominators as its pivot.  It is primitive: a prime
+    dividing D divides some denominator fully, and that entry not at all.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "ints")
 
     def __init__(self, coords: Sequence) -> None:
         c = tuple(rat(x) for x in coords)
@@ -43,6 +46,7 @@ class PointP2:
         if lead is None:
             raise ValueError("(0 : 0 : 0) is not a point")
         self.coords = tuple(x / lead for x in c)
+        self.ints = tuple(clear_denominators(self.coords)[0])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PointP2) and self.coords == other.coords
@@ -148,9 +152,8 @@ def _bracket(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> int:
 
 def is_general_position(c: Config6) -> GeneralPositionVerdict:
     """No three collinear, no conic through all six; returns a witness on failure."""
-    ints = [clear_denominators(rep)[0] for rep in c.reps]
     for triple in combinations(range(6), 3):
-        if _bracket(*(ints[i] for i in triple)) == 0:
+        if _bracket(*(c.points[i].ints for i in triple)) == 0:
             labels = tuple(i + 1 for i in triple)
             return GeneralPositionVerdict(False, collinear_triple=labels)
     # Order-0 rows: the conic monomials at each point, times a nonzero scale.
@@ -196,15 +199,15 @@ def _integer_chart_columns(
     a < b are the other two, so the vertex (0:0:1) maps to p.  The
     Taylor coefficient of u^i v^j in x^m(u e_a + v e_b + w p) is
     C(m_a, i) C(m_b, j) p_a^(m_a - i) p_b^(m_b - j) p_c^(m_c).
-    ``PointP2`` scales the pivot to p_c = 1, so with p = (n_a, n_b, n_c) / d
-    cleared of denominators, n_c = d, and since m_a + m_b + m_c = n the
-    scaled entry is the integer C(m_a, i) C(m_b, j) n_a^(m_a - i)
-    n_b^(m_b - j) d^(m_c).  An entry is nonzero only when i + j <= n.
+    ``PointP2`` scales the pivot to p_c = 1, so with p = (n_a, n_b, d) / d
+    read from ``p.ints``, and since m_a + m_b + m_c = n the scaled entry
+    is the integer C(m_a, i) C(m_b, j) n_a^(m_a - i) n_b^(m_b - j) d^(m_c).
+    An entry is nonzero only when i + j <= n.
     """
-    c = next(i for i in range(3) if p.coords[i] != 0)
+    c = next(i for i in range(3) if p.ints[i] != 0)
     a, b = (i for i in range(3) if i != c)
-    powers, d = integer_powers(p.coords, sum(monos[0]) if monos else 0)
-    na, nb, dc = powers[a], powers[b], powers[c]  # dc[e] = d^e, as p_c = 1
+    degree = sum(monos[0]) if monos else 0
+    na, nb, dc = ([p.ints[k] ** e for e in range(degree + 1)] for k in (a, b, c))
     rows = [
         [
             comb(m[a], i) * comb(m[b], j) * na[m[a] - i] * nb[m[b] - j] * dc[m[c]]
@@ -214,7 +217,7 @@ def _integer_chart_columns(
         ]
         for i, j in orders
     ]
-    return rows, d
+    return rows, p.ints[c]
 
 
 def _taylor_orders(mult: int) -> list[tuple[int, int]]:
@@ -305,10 +308,17 @@ def chart_coefficients(f: TernaryForm, p: PointP2, order: int) -> tuple[Fraction
     coefficients cleared to integers over den, each is one integer dot
     product with a row of that function over den * d^(n - order).
     """
-    nums, den = f.integer_terms()
+    return _chart_values(f.degree, f.integer_terms(), p, order)
+
+
+def _chart_values(
+    degree: int, terms: tuple[dict[Mono, int], int], p: PointP2, order: int
+) -> tuple[Fraction, ...]:
+    """``chart_coefficients`` of a form of this degree, from its ``integer_terms()``."""
+    nums, den = terms
     orders = [(i, order - i) for i in range(order, -1, -1)]
     rows, d = _integer_chart_columns(list(nums), p, orders)
-    scale = den * d ** max(f.degree - order, 0)  # rows above the degree are zero
+    scale = den * d ** max(degree - order, 0)  # rows above the degree are zero
     return tuple(Fraction(sum(map(mul, nums.values(), row)), scale) for row in rows)
 
 
@@ -318,11 +328,13 @@ def chart_quadratic_part(f: TernaryForm, p: PointP2) -> tuple[Fraction, Fraction
 
 
 def tangent_cone(f: TernaryForm, p: PointP2) -> TangentCone:
-    """Multiplicity of f at p plus the degree-2 cone when applicable."""
+    """Multiplicity of f at p plus the degree-2 cone when applicable; f's
+    integer terms are read once for every order."""
     if f.is_zero:
         raise ValueError("the zero form has no well-defined multiplicity")
+    terms = f.integer_terms()
     for s in range(f.degree + 1):
-        coeffs = chart_coefficients(f, p, s)
+        coeffs = _chart_values(f.degree, terms, p, s)
         if any(c != 0 for c in coeffs):
             if s == 2:
                 a, b, c = coeffs
@@ -335,44 +347,69 @@ def tangent_cone(f: TernaryForm, p: PointP2) -> TangentCone:
 # -- projectivities --------------------------------------------------
 
 
-def frame_map(source: Sequence[PointP2], target: Sequence[PointP2]) -> Matrix | None:
-    """The projectivity sending four source points to four target points.
+def _adjugate(cols: Sequence[Sequence[int]]) -> list[tuple]:
+    """adj(M) = det(M) M^-1, for the 3x3 matrix M with these columns."""
+    return [_cross(cols[j - 2], cols[j - 1]) for j in range(3)]
 
-    Returns None when either quadruple has three collinear members (no
-    valid frame).  On cleared integer coordinates, T with columns l_j p_j
-    sends e_1, e_2, e_3, (1, 1, 1) to p_1..p_4, where [p_1 p_2 p_3] l_j is
-    the bracket with p_4 in place of p_j (Cramer): a frame exists when the
-    four brackets are nonzero.  adj(T) has the cross products of T's
-    columns as rows, and T_target adj(T_source), unique up to scale, is
-    divided by its first nonzero entry, whatever scale the integers had.
-    """
 
-    def frame(pts: Sequence[PointP2]) -> list[list[int]] | None:
-        p1, p2, p3, p4 = (clear_denominators(p.coords)[0] for p in pts)
-        lams = (_bracket(p4, p2, p3), _bracket(p1, p4, p3), _bracket(p1, p2, p4))
-        if _bracket(p1, p2, p3) == 0 or 0 in lams:
-            return None
-        return [[lam * x for x in p] for lam, p in zip(lams, (p1, p2, p3))]
-
-    cols_s, cols_t = frame(source), frame(target)
-    if cols_s is None or cols_t is None:
+def _frame(pts: Sequence[PointP2]) -> list[list[int]] | None:
+    """The integer columns of ``frame_map``'s T for four points, or None."""
+    p1, p2, p3, p4 = (p.ints for p in pts)
+    lams = (_bracket(p4, p2, p3), _bracket(p1, p4, p3), _bracket(p1, p2, p4))
+    if _bracket(p1, p2, p3) == 0 or 0 in lams:
         return None
-    adj = [_cross(cols_s[j - 2], cols_s[j - 1]) for j in range(3)]
-    g = [[sum(t[i] * a[k] for t, a in zip(cols_t, adj)) for k in range(3)] for i in range(3)]
+    return [[lam * x for x in p] for lam, p in zip(lams, (p1, p2, p3))]
+
+
+def _compose(cols: Sequence[Sequence[int]], adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer rows of T adj, for T given by its columns."""
+    return [[sum(t[i] * a[k] for t, a in zip(cols, adj)) for k in range(3)] for i in range(3)]
+
+
+def _normalized(g: Sequence[Sequence[int]]) -> Matrix:
+    """The matrix g divided by its first nonzero entry."""
     lead = next(x for row in g for x in row if x != 0)
     return Matrix([[Fraction(x, lead) for x in row] for row in g])
 
 
+def frame_map(source: Sequence[PointP2], target: Sequence[PointP2]) -> Matrix | None:
+    """The projectivity sending four source points to four target points.
+
+    Returns None when either quadruple has three collinear members (no
+    valid frame).  On the points' ``ints``, T with columns l_j p_j sends
+    e_1, e_2, e_3, (1, 1, 1) to p_1..p_4, where [p_1 p_2 p_3] l_j is the
+    bracket with p_4 in place of p_j (Cramer): a frame exists when the
+    four brackets are nonzero.  T_target adj(T_source) (``_adjugate``),
+    unique up to scale, is divided by its first nonzero entry, whatever
+    scale the integers had.
+    """
+    cols_s, cols_t = _frame(source), _frame(target)
+    if cols_s is None or cols_t is None:
+        return None
+    return _normalized(_compose(cols_t, _adjugate(cols_s)))
+
+
 def _projectivities(c1: Config6, c2: Config6, perms: Iterable[Perm]):
     """Yield (g, sigma) for each sigma of ``perms``, in order, for which the
-    projectivity g of ``frame_map`` sends every p_i to q_sigma(i)."""
+    projectivity g of ``frame_map`` sends every p_i to q_sigma(i).  The
+    source frame and its adjugate are built once; per sigma the integer
+    T_target adj(T_source) is tested on p_5 and p_6, and only a match is
+    divided into ``frame_map``'s matrix."""
     pts1, pts2 = c1.points, c2.points
+    cols_s = _frame(pts1[:4])
+    if cols_s is None:
+        return
+    adj = _adjugate(cols_s)
     for sigma in perms:
-        g = frame_map(pts1[:4], [pts2[sigma(i)] for i in range(4)])
-        if g is not None and not any(
-            any(_cross(g.apply(pts1[i].coords), pts2[sigma(i)].coords)) for i in range(4, 6)
+        cols_t = _frame([pts2[sigma(i)] for i in range(4)])
+        if cols_t is None:
+            continue
+        g = _compose(cols_t, adj)
+        if not any(
+            any(_cross([sum(map(mul, row, pts1[i].ints)) for row in g], pts2[sigma(i)].ints))
+            for i in range(4, 6)
         ):
-            yield g, sigma
+            yield _normalized(g), sigma
 
 
 def projective_stabilizer(c: Config6) -> list[tuple[Perm, Matrix]]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Sequence, Union
@@ -33,18 +34,17 @@ from . import _modp
 from ._poly import pdiv_exact, pgcd, pprimitive, ptrim
 from .association import _is_line_pair, exceptional_conics, sample_points_on_conic
 from .forms import (
-    DegenerateEliminationError,
     TernaryForm,
     _newton_interpolate,
     _specializations,
-    integer_powers,
     monomials_of_degree,
     resultant_eliminate,
 )
-from .linalg import Matrix, Rational, clear_denominators, inverse, kernel_basis, rat
+from .linalg import Matrix, Rational, clear_denominators, kernel_basis, rat
 from .plane import (
     Config6,
     PointP2,
+    _adjugate,
     _integer_chart_columns,
     integer_multiplicity_rows,
     is_general_position,
@@ -274,9 +274,9 @@ class SmoothnessVerdict:
 
 
 #: The coordinate frames tried in turn by ``smooth_elsewhere`` and
-#: ``smooth_screen``, as (matrix, inverse) pairs; the first is the identity.
+#: ``smooth_screen``, as (matrix, integer adjugate) pairs; the first is the identity.
 _FRAMES = [
-    (m, inverse(m))
+    (m, _adjugate([[int(x) for x in col] for col in m.transpose().rows]))
     for m in (
         Matrix.identity(3),
         Matrix([[3, -2, -3], [-3, -3, -3], [-3, -1, -3]]),
@@ -305,13 +305,14 @@ def _restrict_line(form: TernaryForm, ys: list[int], zs: list[int]) -> list[int]
     return ptrim(out)
 
 
-def _divide_out_root(poly: list[int], root: Fraction | int) -> tuple[list[int], int]:
-    """Divide an integer u-polynomial by den*u - num, root = num/den, to exhaustion.
+def _divide_out_root(poly: list[int], num: int, den: int) -> tuple[list[int], int]:
+    """Divide an integer u-polynomial by den*u - num, made primitive, to exhaustion.
 
-    The linear is primitive, so by Gauss's lemma each quotient that
+    As the linear is primitive, by Gauss's lemma each quotient that
     exists over Q is integral and ``pdiv_exact`` finds it over Z.
     Returns (quotient, count).
     """
+    root = Fraction(num, den)
     linear = [-root.numerator, root.denominator]
     count = 0
     while poly:
@@ -333,7 +334,7 @@ def _node_factor_audit(
     a_poly: list[int],
     b_poly: list[int],
     v_power: int,
-    projections: list[tuple[Fraction, Fraction]],
+    projections: list[tuple[int, int]],
 ) -> tuple[tuple[int, ...] | None, str]:
     """Divide node-projection linears out of both eliminants, then audit the rest.
 
@@ -352,8 +353,8 @@ def _node_factor_audit(
             orders.append(v_power)
             v_power = 0
             continue
-        a_poly, count_a = _divide_out_root(a_poly, y / z)
-        b_poly, count_b = _divide_out_root(b_poly, y / z)
+        a_poly, count_a = _divide_out_root(a_poly, y, z)
+        b_poly, count_b = _divide_out_root(b_poly, y, z)
         if min(count_a, count_b) < 1:
             return None, "node projection missing from the common factor"
         orders.append(min(count_a, count_b))
@@ -365,14 +366,25 @@ def _node_factor_audit(
     return tuple(orders), ""
 
 
-def _admissible_frames(form: TernaryForm, node_coords: list):
+def _node_ints(nodes: Sequence) -> list:
+    """The nodes' ``PointP2.ints``, or raw triples (even (0, 0, 0)) cleared."""
+    out = [p.ints if isinstance(p, PointP2) else clear_denominators(list(map(rat, p)))[0]
+           for p in nodes]
+    if any(len(q) != 3 for q in out):
+        raise ValueError("a plane point needs three coordinates")
+    return out
+
+
+def _admissible_frames(form: TernaryForm, node_ints: list):
     """Coordinate frames in which the vertical projection is usable.
 
     Yields (moved form, moved nodes) for each frame of ``_FRAMES`` under
     which the projection vertex avoids the curve, the eliminations stay
-    proper, and the nodes project to distinct points.
+    proper, and the nodes project to distinct points.  The adjugate moves
+    integer nodes to multiples of their images; projections (y1, z1) and
+    (y2, z2) meet when y1 z2 = y2 z1 and (y1 = 0) = (y2 = 0).
     """
-    for index, (transform, undo) in enumerate(_FRAMES):
+    for index, (transform, adj) in enumerate(_FRAMES):
         # Frame 0 is the identity, under which the form is its own image.
         moved = form.substitute(transform) if index else form
         if (
@@ -382,17 +394,11 @@ def _admissible_frames(form: TernaryForm, node_coords: list):
         ):
             yield None, "projection center or axis meets the curve"
             continue
-        moved_nodes = [undo.apply(p) for p in node_coords]
-        projections = [(q[1], q[2]) for q in moved_nodes]
-        seen = set()
-        distinct = True
-        for y, z in projections:
-            key = (Fraction(0), Fraction(1)) if y == 0 else (Fraction(1), z / y)
-            if key in seen:
-                distinct = False
-                break
-            seen.add(key)
-        if not distinct:
+        moved_nodes = [tuple(sum(map(mul, row, q)) for row in adj) for q in node_ints]
+        if any(
+            y1 * z2 == y2 * z1 and (y1 == 0) == (y2 == 0)
+            for (_, y1, z1), (_, y2, z2) in combinations(moved_nodes, 2)
+        ):
             yield None, "two nodes share a projection line"
             continue
         yield (moved, moved_nodes), ""
@@ -529,14 +535,17 @@ def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
     divides each node projection out of both and asks an exact ``pgcd``
     whether the cofactors are coprime; route "exact".  Both routes reach
     the same verdict, attempts and node orders; only the route differs.
+    ``_admissible_frames`` already requires nonzero x^6, x^5 y and x^5 z
+    coefficients, so fx, fy and fz have constant leading x-coefficients,
+    and ``resultant_eliminate`` cannot raise there.
     """
     if form.degree != 6:
         raise ValueError("smoothness certification targets degree-six forms")
-    node_coords = [getattr(p, "coords", p) for p in nodes]
-    nodes_singular = _singular_at(form, node_coords)
+    node_ints = _node_ints(nodes)
+    nodes_singular = _singular_at(form, node_ints)
     last_detail = "no admissible coordinate system found"
     used = 0
-    for frame, why in _admissible_frames(form, node_coords):
+    for frame, why in _admissible_frames(form, node_ints):
         used += 1
         if frame is None:
             last_detail = why
@@ -545,15 +554,11 @@ def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
         fx = moved.partial(0)
         fy = moved.partial(1)
         fz = moved.partial(2)
-        if nodes_singular and _modp_gcd_degree(fx, fy, fz) == len(node_coords):
-            orders, route = (1,) * len(node_coords), "degree count"
+        if nodes_singular and _modp_gcd_degree(fx, fy, fz) == len(node_ints):
+            orders, route = (1,) * len(node_ints), "degree count"
         else:
-            try:
-                elim_y = resultant_eliminate(fx, fy, 0)
-                elim_z = resultant_eliminate(fx, fz, 0)
-            except DegenerateEliminationError:
-                last_detail = "elimination degenerated in this coordinate system"
-                continue
+            elim_y = resultant_eliminate(fx, fy, 0)
+            elim_z = resultant_eliminate(fx, fz, 0)
             if elim_y.is_zero or elim_z.is_zero:
                 return SmoothnessVerdict(
                     False, used, "partial derivatives share a factor: the curve is not reduced"
@@ -570,16 +575,16 @@ def smooth_elsewhere(form: TernaryForm, nodes: Sequence) -> SmoothnessVerdict:
             route = "exact"
         # Each node's vertical line may contain no second singular point.
         line_ok = True
-        for q in moved_nodes:
-            # For q = (X, Y, Z) / D the line is {(s : Y : Z)}, the node s = X.
-            (xs, ys, zs), _ = integer_powers(q, fx.degree)
+        for x, y, z in moved_nodes:
+            # The line is {(s : y : z)}, and the node is s = x.
+            ys, zs = ([v**e for e in range(fx.degree + 1)] for v in (y, z))
             polys = [_restrict_line(g, ys, zs) for g in (fx, fy, fz)]
             gcd_line = pgcd(pgcd(polys[0], polys[1]), polys[2])
             if not gcd_line:
                 line_ok = False
                 last_detail = "a node line lies in the singular locus"
                 break
-            reduced, count = _divide_out_root(gcd_line, xs[1])
+            reduced, count = _divide_out_root(gcd_line, x, 1)
             if count < 1 or len(reduced) > 1:
                 line_ok = False
                 last_detail = "extra singular point on a node line"
@@ -607,16 +612,16 @@ def smooth_screen(form: TernaryForm, nodes: Sequence) -> bool | None:
     """
     if form.degree != 6:
         raise ValueError("smoothness screens target degree-six forms")
-    node_coords = [getattr(p, "coords", p) for p in nodes]
-    if not _singular_at(form, node_coords):
+    node_ints = _node_ints(nodes)
+    if not _singular_at(form, node_ints):
         return False
     alarms = 0
-    for frame, _ in _admissible_frames(form, node_coords):
+    for frame, _ in _admissible_frames(form, node_ints):
         if frame is None:
             continue
         moved = frame[0]
         degree = _modp_gcd_degree(moved.partial(0), moved.partial(1), moved.partial(2))
-        if degree == len(node_coords):
+        if degree == len(node_ints):
             return True
         if degree is not None:
             alarms += 1

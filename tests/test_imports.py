@@ -3,8 +3,8 @@ private module-level name, and every function of the private helper
 modules ``_poly`` and ``_modp``, is read somewhere in the library.  The
 helper modules run on ``int`` only, so they import nothing from
 ``fractions``.  Brackets and cross products of points have one routine,
-in ``plane``, and the modules that take them bind no rational
-``determinant`` or ``inverse``."""
+in ``plane``, and the modules that take them or the adjugates built from
+them bind no rational ``determinant`` or ``inverse``."""
 
 import ast
 from collections import Counter
@@ -223,8 +223,9 @@ def test_the_fraction_import_scan_sees_both_import_forms():
 
 #: The bracket routines, which only ``plane`` may define.
 BRACKET_ROUTINES = ("_bracket", "_cross")
-#: Modules that take brackets, and the rational routines they must not bind.
-BRACKET_MODULES = ("association.py", "coble.py", "lattice.py", "plane.py")
+#: Modules that take brackets (``torsion`` through ``_adjugate``), and the
+#: rational routines they must not bind.
+BRACKET_MODULES = ("association.py", "coble.py", "lattice.py", "plane.py", "torsion.py")
 RATIONAL_ROUTINES = ("determinant", "inverse")
 
 
@@ -282,4 +283,5 @@ def test_the_bracket_scan_sees_definitions_imports_and_aliases():
         ("lattice.py", "determinant", 2),
         ("plane.py", "determinant", 1),
         ("torsion.py", "_bracket", 2),
+        ("torsion.py", "inverse", 1),
     ]

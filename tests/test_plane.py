@@ -3,12 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
+from doublesix import plane
 from doublesix.forms import TernaryForm, monomials_of_degree
-from doublesix.linalg import Matrix, determinant, inverse
+from doublesix.linalg import Matrix, clear_denominators, determinant, inverse
 from doublesix.perms import Perm, all_perms
 from doublesix.plane import (
     REF6,
@@ -48,6 +49,30 @@ def test_point_canonicalization_and_equality():
     assert PointP2((0, -3, 6)) == PointP2((0, 1, -2))
     with pytest.raises(ValueError):
         PointP2((0, 0, 0))
+
+
+def test_point_ints_are_the_cleared_canonical_coordinates():
+    """``PointP2.ints`` is ``clear_denominators(coords)[0]``: a primitive
+    triple with a positive pivot, on integer, rational, ~60-bit and
+    zero-leading points."""
+    rng = random.Random("point-ints")
+    rows = [(2, 4, 6), (-3, 5, 7), (0, -3, 6), (0, 0, -4), (0, 5, -10)]
+    rows += [(Fraction(1, 2), Fraction(-3, 4), 2), ("-3/4", 6, 0), (0, Fraction(-5, 6), "7/10")]
+    for bound in (20, 2**60):
+        rows += [tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(20)]
+        rows += [(0, rng.randint(1, bound), rng.randint(-bound, bound)) for _ in range(5)]
+    rows += [tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(3))
+             for _ in range(40)]
+    points = [PointP2(r) for r in rows if any(Fraction(x) for x in r)]
+    points += [p for c in (REF6, SYMMETRIC, random_general_config(rng, bound=2**60))
+               for p in c.points]
+    assert len(points) > 100
+    for p in points:
+        assert list(p.ints) == clear_denominators(p.coords)[0]
+        assert all(type(x) is int for x in p.ints)
+        assert gcd(*p.ints) == 1
+        assert next(x for x in p.ints if x) > 0
+        assert PointP2(p.ints) == p
 
 
 def test_config_requires_six_distinct_points():
@@ -453,3 +478,19 @@ def test_frame_map_and_stabilizer_match_the_reference_on_every_relabelling():
     (tau, g), = reference_projectivities(REF6, moved)
     assert projective_equivalence(REF6, moved, respect_labels=False) == (g, tau)
     assert tau != Perm.identity(6)
+
+
+def test_stabilizer_builds_the_source_frame_once_and_a_matrix_per_match(monkeypatch):
+    """One source frame per call, then one target frame per permutation;
+    only the matches become ``Matrix`` objects."""
+    frames, matrices = [], []
+    frame, normalized = plane._frame, plane._normalized
+    monkeypatch.setattr(plane, "_frame", lambda pts: frames.append(tuple(pts)) or frame(pts))
+    monkeypatch.setattr(plane, "_normalized", lambda g: matrices.append(g) or normalized(g))
+    for c in (SYMMETRIC, REF6, random_general_config(random.Random(1), bound=20)):
+        frames.clear()
+        matrices.clear()
+        found = projective_stabilizer(c)
+        assert len(frames) == 1 + 720 and frames[0] == tuple(c.points[:4])
+        assert len(matrices) == len(found) >= 1
+    assert len(found) == 1 and found[0][0] == Perm.identity(6)

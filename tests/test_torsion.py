@@ -257,7 +257,7 @@ def reference_node_factor_audit(a_poly, b_poly, v_power, projections):
             orders.append(v_power)
             v_power = 0
             continue
-        current, count = reference_divide_out_root(current, y / z)
+        current, count = reference_divide_out_root(current, Fraction(y, z))
         if count < 1:
             return None, "node projection missing from the common factor"
         orders.append(count)
@@ -619,7 +619,7 @@ def test_smooth_elsewhere_hands_the_polynomial_helpers_only_integers(monkeypatch
 
 
 def test_smooth_elsewhere_builds_no_frame_matrix(monkeypatch):
-    """The frames and their inverses are built once, at import: a call that
+    """The frames and their adjugates are built once, at import: a call that
     moves the form into every frame computes no inverse and no determinant."""
     calls = []
 
@@ -638,6 +638,118 @@ def test_smooth_elsewhere_builds_no_frame_matrix(monkeypatch):
     verdict = smooth_elsewhere(form, REF6.points)
     assert verdict.certified and verdict.attempts == len(torsion._FRAMES) == 4
     assert calls == []
+
+
+def test_adjugate_frames_move_nodes_as_the_inverse_reference():
+    """Each frame's integer adjugate moves a point's ``ints`` to det(M) D
+    times ``inverse(M).apply(coords)``, the image the frames took before,
+    D being the pivot of ``ints``: so every projection is a nonzero
+    multiple of the reference one, zero entries included, also as
+    ``_admissible_frames`` yields them for a pencil member."""
+    rng = random.Random("adjugate-frames")
+    configs = [REF6, Z0_CONFIG] + [random_general_config(rng, bound=b) for b in (5, 20, 2**60)]
+    count = 0
+    for config in configs:
+        for m, adj in torsion._FRAMES:
+            undo, det = inverse(m), determinant(m)
+            for p in config.points:
+                moved = tuple(sum(a * x for a, x in zip(row, p.ints)) for row in adj)
+                ref = undo.apply(p.coords)
+                assert all(type(x) is int for x in moved)
+                scale = det * next(x for x in p.ints if x)
+                assert moved == tuple(scale * x for x in ref) and scale != 0
+                count += 1
+        form = conic_product_pencil(config).member(1, 1).canonical()
+        nodes = [p.ints for p in config.points]
+        for (m, _), (frame, _) in zip(torsion._FRAMES, _admissible_frames(form, nodes)):
+            if frame is None:
+                continue
+            for (_, y, z), p in zip(frame[1], config.points):
+                (_, ry, rz) = inverse(m).apply(p.coords)
+                assert y * rz == z * ry and (y == 0) == (ry == 0) and (z == 0) == (rz == 0)
+    assert count == len(configs) * 4 * 6
+
+
+def raw_node_lists(coords):
+    """Node lists of raw triples: the coordinates, integer multiples, strings,
+    and (0, 0, 0) in place of a node, beside them, alone or twice."""
+    return {
+        "coords": coords,
+        "multiples": [tuple(-3 * x for x in q) for q in coords],
+        "strings": [[str(x / 7) for x in q] for q in coords],
+        "zero last": coords[:5] + [(0, 0, 0)],
+        "zero first": [(0, 0, 0)] + coords[1:],
+        "zero extra": coords + [(0, 0, 0)],
+        "zero only": [(0, 0, 0)],
+        "empty": [],
+        "duplicate": coords + [coords[0]],
+        "zero twice": coords + [(0, 0, 0)] * 2,
+    }
+
+
+@pytest.mark.parametrize("config, attempts", [(REF6, 4), (Z0_CONFIG, 2)], ids=["REF6", "Z0"])
+def test_smoothness_on_raw_node_triples_keeps_the_recorded_verdicts(config, attempts):
+    """Verdict, detail and hint of ``smooth_elsewhere`` and ``smooth_screen``
+    on raw node triples, as recorded while the frames moved the nodes with
+    the rational inverse; a zero node meets every node with y = 0."""
+    form = conic_product_pencil(config).member(1, 1).canonical()
+    certified = (True, attempts, "only the six nodes are singular", (1,) * 6, "degree count")
+    missing = (False, 4, "node projection missing from the common factor", None, None)
+    shared = (False, 4, "two nodes share a projection line", None, None)
+    expected = {
+        "coords": (certified, True),
+        "multiples": (certified, True),
+        "strings": (certified, True),
+        "zero last": (missing, False),
+        "zero first": (missing, False),
+        "zero extra": (missing, False),
+        "zero only": (missing, False),
+        "empty": ((False, 4, "residual common factor of degree 6", None, None), False),
+        "duplicate": (shared, None),
+        "zero twice": (shared, False),
+    }
+    for name, nodes in raw_node_lists([q.coords for q in config.points]).items():
+        v = smooth_elsewhere(form, nodes)
+        got = (v.certified, v.attempts, v.detail, v.node_orders, v.route)
+        assert (got, smooth_screen(form, nodes)) == expected[name], name
+
+
+def test_admissible_frames_keep_the_partials_at_full_x_degree():
+    """Nonzero x^6, x^5 y and x^5 z coefficients in every admissible frame
+    give fx, fy and fz a constant leading x-coefficient, so the exact
+    route's ``resultant_eliminate`` never meets a degenerate elimination."""
+    cases = smooth_audit_cases()
+    for seed in (0, 4, 14, 16):
+        config, _, form = seventh_double_point_case(seed)
+        cases.append((config, form))
+    count = 0
+    for config, form in cases:
+        for frame, _ in _admissible_frames(form, [q.ints for q in config.points]):
+            if frame is None:
+                continue
+            for v in range(3):
+                partial = frame[0].partial(v)
+                assert partial.degree_in(0) == partial.degree == 5
+            count += 1
+    assert count >= len(cases)
+
+
+def test_node_profile_reads_the_sextic_once_per_node(monkeypatch):
+    """``tangent_cone`` reads the form's integer terms once, not once per
+    order: at most six reads of the sextic per ``node_profile``."""
+    config = random_general_config(random.Random("node-profile-reads"), bound=20)
+    form = conic_product_pencil(config).member(1, 3).canonical()
+    reads = []
+    original = TernaryForm.integer_terms
+
+    def counting(self):
+        if self is form:
+            reads.append(self)
+        return original(self)
+
+    monkeypatch.setattr(TernaryForm, "integer_terms", counting)
+    assert node_profile(config, form).ok
+    assert 1 <= len(reads) <= 6
 
 
 def frame_eliminants(config, form):
@@ -683,7 +795,7 @@ def node_product(powers):
 
 def audit_both(a_poly, b_poly, v_power=0, projections=None):
     if projections is None:
-        projections = [(r, Fraction(1)) for r in NODE_ROOTS]
+        projections = [(r.numerator, r.denominator) for r in NODE_ROOTS]
     got = _node_factor_audit(a_poly, b_poly, v_power, projections)
     assert got == reference_node_factor_audit(a_poly, b_poly, v_power, projections)
     return got
@@ -725,7 +837,7 @@ def test_node_audit_falls_back_when_both_primes_divide_the_leading_coefficient()
 
 
 def test_node_audit_handles_a_node_at_z_zero():
-    at_infinity = [(r, Fraction(1)) for r in NODE_ROOTS[:5]] + [(Fraction(3), Fraction(0))]
+    at_infinity = [(r.numerator, r.denominator) for r in NODE_ROOTS[:5]] + [(3, 0)]
     a_poly = pmul(node_product([1, 1, 1, 1, 1, 0]), [7, 0, 1])
     b_poly = pmul(node_product([2, 1, 1, 1, 1, 0]), [1, 1, 3])
     assert audit_both(a_poly, b_poly, 2, at_infinity) == ((1, 1, 1, 1, 1, 2), "")
@@ -733,7 +845,7 @@ def test_node_audit_handles_a_node_at_z_zero():
         None,
         "node projection missing from the common factor",
     )
-    finite = [(r, Fraction(1)) for r in NODE_ROOTS[:5]]
+    finite = [(r.numerator, r.denominator) for r in NODE_ROOTS[:5]]
     assert audit_both(a_poly, b_poly, 1, finite) == (
         None,
         "unexplained common root at infinity",
